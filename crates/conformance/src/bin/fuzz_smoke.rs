@@ -2,14 +2,16 @@
 //!
 //! Deterministic: seeds run `base..base+cases`, so a CI failure
 //! reproduces locally with the printed seed. Three seeds in four drive a
-//! full differential-harness case, the fourth a packet-fuzz case; with
-//! `--self-check` the seeded-mutation gate runs too (at least nine of
-//! the ten seeded bugs must be detected).
+//! full differential-harness case, the fourth a packet-fuzz case. Every
+//! seed of the block also drives one XDL front-end case
+//! ([`conformance::xdl_fuzz`]). With `--self-check` the seeded-mutation
+//! gate runs too (at least nine of the ten seeded bugs must be
+//! detected).
 //!
 //! Usage: `fuzz_smoke [--cases N] [--seed S] [--project N] [--self-check]`
 
 use conformance::harness::{run_case, run_project_case};
-use conformance::{fuzz_case, mutation, Schedule};
+use conformance::{fuzz_case, mutation, xdl_fuzz_case, FrontEnd, Schedule};
 
 fn main() {
     let mut cases: u64 = 10_000;
@@ -92,6 +94,29 @@ fn main() {
         }
     }
 
+    // XDL front end: ok / parse error / UCF error / translate error.
+    let mut front_end = [0u64; 4];
+    for seed in base_seed..base_seed + cases {
+        match xdl_fuzz_case(seed) {
+            Ok(outcome) => {
+                front_end[match outcome {
+                    FrontEnd::Translated => 0,
+                    FrontEnd::Parse(_) => 1,
+                    FrontEnd::Ucf(_) => 2,
+                    FrontEnd::Translate(_) => 3,
+                }] += 1;
+            }
+            Err(f) => {
+                eprintln!("FAIL (xdl front end): {f}");
+                failures += 1;
+                if failures >= 5 {
+                    eprintln!("stopping after 5 failures");
+                    break;
+                }
+            }
+        }
+    }
+
     for k in 0..project_cases {
         if let Err(f) = run_project_case(base_seed + k) {
             eprintln!("FAIL (project): {f}");
@@ -127,6 +152,10 @@ fn main() {
         by_schedule[2],
         by_schedule[3],
         dt.as_secs_f64()
+    );
+    println!(
+        "{cases} XDL front-end cases: translated/parse/ucf/translate errors = {}/{}/{}/{}",
+        front_end[0], front_end[1], front_end[2], front_end[3]
     );
     let dev_summary: Vec<String> = devices.iter().map(|(d, n)| format!("{d}:{n}")).collect();
     println!("device mix: {}", dev_summary.join(" "));

@@ -31,7 +31,12 @@
 //!   verify must match the raw readback compare output-for-output on
 //!   clean boards, catch exactly the corruptions the raw compare
 //!   catches (digest mismatches escalate, they never fail a request by
-//!   themselves), and pull several times fewer readback bytes.
+//!   themselves), and pull several times fewer readback bytes;
+//! * [`xdl_fuzz`] — seeded XDL front-end cases: byte-mutated and
+//!   grammar-aware XDL + UCF files (off-device, negative and huge
+//!   coordinates, corner and wrong-kind sites, unknown PIPs, duplicate
+//!   instances, regions outside the die) must end translated or as a
+//!   typed parse, UCF or translate error, never a panic.
 //!
 //! Any failure reproduces from `Campaign::generate(seed)` — the seed is
 //! printed in every [`harness::Failure`].
@@ -43,6 +48,7 @@ pub mod mutation;
 pub mod reloc_trio;
 pub mod verify_trio;
 pub mod wire_trio;
+pub mod xdl_fuzz;
 
 pub use campaign::{Campaign, CampaignOp};
 pub use fuzz::{fuzz_case, Corruption};
@@ -51,3 +57,4 @@ pub use mutation::{self_check, SeededBug};
 pub use reloc_trio::{reloc_case, RelocOutcome, RELOC_DEVICES};
 pub use verify_trio::{verify_case, VerifyCaseOutcome};
 pub use wire_trio::{wire_case, WireOutcome, WIRE_DEVICES};
+pub use xdl_fuzz::{xdl_fuzz_case, FrontEnd};

@@ -4,6 +4,7 @@
 
 use jbits::Jbits;
 use std::fmt;
+use virtex::routing::PADS_PER_IOB;
 use virtex::{
     ClbResource, IobResource, LutId, MuxSetting, ResourceValue, SliceId, SliceResource, TileCoord,
 };
@@ -33,6 +34,15 @@ pub enum TranslateError {
         /// Value.
         value: String,
     },
+    /// An instance is placed on a site with no configuration bits of its
+    /// kind: off the device, on a corner, on a tile of the wrong kind, or
+    /// on a pad past the last one.
+    BadSite {
+        /// Offending instance.
+        instance: String,
+        /// The site it is placed on.
+        site: String,
+    },
     /// A routed PIP does not exist in the fabric.
     BadPip {
         /// Net name.
@@ -56,6 +66,9 @@ impl fmt::Display for TranslateError {
                 attr,
                 value,
             } => write!(f, "instance {instance:?}: bad cfg {attr}::{value}"),
+            TranslateError::BadSite { instance, site } => {
+                write!(f, "instance {instance:?}: no {site} on this device")
+            }
             TranslateError::BadPip { net, pip } => {
                 write!(f, "net {net:?}: pip {pip} not in fabric")
             }
@@ -279,13 +292,24 @@ pub fn apply_design(jb: &mut Jbits, design: &Design) -> Result<TranslateStats, T
             session: jb.device().to_string(),
         });
     }
+    let device = jb.device();
+    let bad_site = |inst: &Instance, site: String| TranslateError::BadSite {
+        instance: inst.name.clone(),
+        site,
+    };
     let mut stats = TranslateStats::default();
     for inst in &design.instances {
         match (&inst.placement, inst.kind) {
             (Placement::Slice(sc), InstanceKind::Slice) => {
+                if !sc.tile.is_clb(device) {
+                    return Err(bad_site(inst, sc.site_name()));
+                }
                 apply_slice_cfg(jb, sc.tile, sc.slice, inst, &mut stats)?;
             }
             (Placement::Iob(io), InstanceKind::Iob) => {
+                if !io.tile.is_iob(device) || io.pad as usize >= PADS_PER_IOB {
+                    return Err(bad_site(inst, io.site_name()));
+                }
                 apply_iob_cfg(jb, io.tile, io.pad, inst, &mut stats)?;
             }
             _ => {
@@ -399,5 +423,58 @@ inst "u1/nrz" "SLICE" , placed R3C23 CLB_R3C23.S0 ,
         // The G LUT received the XOR-of-A1,A4 table.
         let t = jb.get_lut(TileCoord::new(2, 22), SliceId::S0, LutId::G);
         assert_eq!(t, xdl::expr_to_truth("#LUT:D=(A1@A4)").unwrap());
+    }
+
+    #[test]
+    fn sites_without_configuration_bits_are_typed_errors() {
+        // XCV100: 20 rows x 30 columns; the IOB ring is row/column 0 and
+        // 21/31 in 1-based site names.
+        let bad_site = |site: &str| {
+            Err(TranslateError::BadSite {
+                instance: "x".into(),
+                site: site.into(),
+            })
+        };
+        let cases: [(&str, Result<TranslateStats, TranslateError>); 6] = [
+            // Off the device.
+            (
+                r#"inst "x" "SLICE" , placed R3C223 CLB_R3C223.S0 , cfg "FFX:x:#FF" ;"#,
+                bad_site("CLB_R3C223.S0"),
+            ),
+            // A slice on the bottom IOB ring.
+            (
+                r#"inst "x" "SLICE" , placed R21C5 CLB_R21C5.S0 , cfg "FFX:x:#FF" ;"#,
+                bad_site("CLB_R21C5.S0"),
+            ),
+            // An IOB on a CLB tile.
+            (
+                r#"inst "x" "IOB" , placed R5C5 IOB_R5C5.P0 , cfg "INBUF::1" ;"#,
+                bad_site("IOB_R5C5.P0"),
+            ),
+            // A pad past the last one.
+            (
+                r#"inst "x" "IOB" , placed R0C6 IOB_R0C6.P9 , cfg "INBUF::1" ;"#,
+                bad_site("IOB_R0C6.P9"),
+            ),
+            // A corner tile.
+            (
+                r#"inst "x" "IOB" , placed R0C0 IOB_R0C0.P0 , cfg "INBUF::1" ;"#,
+                bad_site("IOB_R0C0.P0"),
+            ),
+            // A PIP at an off-device location.
+            (
+                r#"net "n" , pip R3C223 R3C223/OMUX1 -> R3C223/SINGLE_E1 , ;"#,
+                Err(TranslateError::BadPip {
+                    net: "n".into(),
+                    pip: "pip R3C223 R3C223/OMUX1 -> R3C223/SINGLE_E1".into(),
+                }),
+            ),
+        ];
+        for (body, want) in cases {
+            let d = xdl::parse(&format!("design \"t\" XCV100 ;\n{body}\n")).unwrap();
+            let mut jb = Jbits::new(Device::XCV100);
+            assert_eq!(apply_design(&mut jb, &d), want, "{body}");
+            assert!(!jb.is_dirty(), "{body}: wrote before failing");
+        }
     }
 }

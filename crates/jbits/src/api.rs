@@ -1,7 +1,7 @@
 //! The [`Jbits`] object: resource-level configuration with dirty-frame
 //! tracking and partial-bitstream extraction.
 
-use crate::layout::Layout;
+use crate::layout::{BitPos, Layout};
 use bitstream::{bitgen, Bitstream, ConfigError, Interpreter};
 use std::collections::BTreeSet;
 use virtex::{
@@ -18,7 +18,9 @@ pub enum Granularity {
     Column,
 }
 
-/// A JBits session: a configuration-memory image and the bit layout.
+/// A JBits session: a configuration-memory image over its device's
+/// shared bit layout ([`Layout::of`]), so opening a session builds
+/// nothing and every read borrows immutably.
 ///
 /// Dirty-frame tracking lives in [`ConfigMemory`] itself (every write
 /// through this API marks the frame it lands in), so the touched-frame
@@ -28,16 +30,13 @@ pub enum Granularity {
 #[derive(Debug)]
 pub struct Jbits {
     mem: ConfigMemory,
-    layout: Layout,
+    layout: &'static Layout,
 }
 
 impl Jbits {
     /// Start from an erased device.
     pub fn new(device: Device) -> Self {
-        Jbits {
-            mem: ConfigMemory::new(device),
-            layout: Layout::new(device),
-        }
+        Jbits::from_memory_tracked(ConfigMemory::new(device))
     }
 
     /// Start from an existing configuration image (e.g. the base design's
@@ -47,8 +46,7 @@ impl Jbits {
     /// edits.
     pub fn from_memory(mut mem: ConfigMemory) -> Self {
         mem.clear_dirty();
-        let layout = Layout::new(mem.device());
-        Jbits { mem, layout }
+        Jbits::from_memory_tracked(mem)
     }
 
     /// Like [`Jbits::from_memory`], but preserving the dirty marks the
@@ -57,7 +55,7 @@ impl Jbits {
     /// [`ConfigMemory::frame_mut`]) and want those edits counted in the
     /// session's touched-frame set.
     pub fn from_memory_tracked(mem: ConfigMemory) -> Self {
-        let layout = Layout::new(mem.device());
+        let layout = Layout::of(mem.device());
         Jbits { mem, layout }
     }
 
@@ -83,28 +81,24 @@ impl Jbits {
         self.mem
     }
 
-    /// The layout (shared with tools that need raw positions).
-    pub fn layout_mut(&mut self) -> &mut Layout {
-        &mut self.layout
-    }
-
     // ----- slice logic ---------------------------------------------------
 
-    /// Set a slice resource.
+    /// Set a slice resource. Panics unless `tile` is a CLB tile, as do
+    /// the other slice and capture accessors.
     pub fn set(&mut self, tile: TileCoord, res: ClbResource, value: ResourceValue) {
         assert_eq!(value.width(), res.bit_width(), "width mismatch for {res:?}");
         for i in 0..res.bit_width() {
-            let pos = self.layout.clb_resource_bit(tile, res, i);
+            let pos = must(self.layout.clb_resource_bit(tile, res, i), tile);
             self.mem
                 .set_bit(pos.frame, pos.bit, (value.bits() >> i) & 1 == 1);
         }
     }
 
     /// Get a slice resource.
-    pub fn get(&mut self, tile: TileCoord, res: ClbResource) -> ResourceValue {
+    pub fn get(&self, tile: TileCoord, res: ClbResource) -> ResourceValue {
         let mut bits = 0u32;
         for i in 0..res.bit_width() {
-            let pos = self.layout.clb_resource_bit(tile, res, i);
+            let pos = must(self.layout.clb_resource_bit(tile, res, i), tile);
             if self.mem.get_bit(pos.frame, pos.bit) {
                 bits |= 1 << i;
             }
@@ -122,7 +116,7 @@ impl Jbits {
     }
 
     /// Get a LUT truth table.
-    pub fn get_lut(&mut self, tile: TileCoord, slice: SliceId, lut: LutId) -> u16 {
+    pub fn get_lut(&self, tile: TileCoord, slice: SliceId, lut: LutId) -> u16 {
         self.get(
             tile,
             ClbResource::new(slice, virtex::SliceResource::Lut(lut)),
@@ -132,21 +126,23 @@ impl Jbits {
 
     // ----- IOB logic -----------------------------------------------------
 
-    /// Set an IOB pad resource.
+    /// Set an IOB pad resource. Panics unless `tile` is an IOB tile and
+    /// `pad` is below [`virtex::routing::PADS_PER_IOB`], as does
+    /// [`Self::get_iob`].
     pub fn set_iob(&mut self, tile: TileCoord, pad: u8, res: IobResource, value: ResourceValue) {
         assert_eq!(value.width(), res.bit_width(), "width mismatch for {res:?}");
         for i in 0..res.bit_width() {
-            let pos = self.layout.iob_resource_bit(tile, pad, res, i);
+            let pos = must(self.layout.iob_resource_bit(tile, pad, res, i), tile);
             self.mem
                 .set_bit(pos.frame, pos.bit, (value.bits() >> i) & 1 == 1);
         }
     }
 
     /// Get an IOB pad resource.
-    pub fn get_iob(&mut self, tile: TileCoord, pad: u8, res: IobResource) -> ResourceValue {
+    pub fn get_iob(&self, tile: TileCoord, pad: u8, res: IobResource) -> ResourceValue {
         let mut bits = 0u32;
         for i in 0..res.bit_width() {
-            let pos = self.layout.iob_resource_bit(tile, pad, res, i);
+            let pos = must(self.layout.iob_resource_bit(tile, pad, res, i), tile);
             if self.mem.get_bit(pos.frame, pos.bit) {
                 bits |= 1 << i;
             }
@@ -169,7 +165,7 @@ impl Jbits {
     }
 
     /// Whether a PIP is enabled. `None` if it does not exist.
-    pub fn get_pip(&mut self, pip: &Pip) -> Option<bool> {
+    pub fn get_pip(&self, pip: &Pip) -> Option<bool> {
         self.layout
             .pip_pos(pip)
             .map(|pos| self.mem.get_bit(pos.frame, pos.bit))
@@ -180,14 +176,14 @@ impl Jbits {
     /// Read a flip-flop's captured state: the value the capture facility
     /// last snapshot into the configuration plane (boards write these
     /// slots on [`crate::Xhwif`]-level capture; see `simboard`).
-    pub fn get_captured_ff(&mut self, tile: TileCoord, slice: SliceId, x_ff: bool) -> bool {
-        let pos = self.layout.capture_pos(tile, slice, x_ff);
+    pub fn get_captured_ff(&self, tile: TileCoord, slice: SliceId, x_ff: bool) -> bool {
+        let pos = must(self.layout.capture_pos(tile, slice, x_ff), tile);
         self.mem.get_bit(pos.frame, pos.bit)
     }
 
     /// Write a capture slot (device-side use).
     pub fn set_captured_ff(&mut self, tile: TileCoord, slice: SliceId, x_ff: bool, value: bool) {
-        let pos = self.layout.capture_pos(tile, slice, x_ff);
+        let pos = must(self.layout.capture_pos(tile, slice, x_ff), tile);
         self.mem.set_bit(pos.frame, pos.bit, value);
     }
 
@@ -206,7 +202,7 @@ impl Jbits {
     }
 
     /// Read one content bit of a BRAM.
-    pub fn get_bram_bit(&mut self, bram: virtex::BramCoord, bit: usize) -> Option<bool> {
+    pub fn get_bram_bit(&self, bram: virtex::BramCoord, bit: usize) -> Option<bool> {
         virtex::bram::content_bit_pos(self.mem.geometry(), bram, bit)
             .map(|(frame, fb)| self.mem.get_bit(frame, fb))
     }
@@ -225,7 +221,7 @@ impl Jbits {
     }
 
     /// Read a whole BRAM back as 16-bit words.
-    pub fn get_bram_contents(&mut self, bram: virtex::BramCoord) -> Option<[u16; 256]> {
+    pub fn get_bram_contents(&self, bram: virtex::BramCoord) -> Option<[u16; 256]> {
         let mut out = [0u16; 256];
         for (w, word) in out.iter_mut().enumerate() {
             for b in 0..16 {
@@ -238,9 +234,12 @@ impl Jbits {
     }
 
     /// Whether any configuration bit in `tile`'s window is set — a fast
-    /// emptiness test decoders use to skip untouched tiles.
-    pub fn tile_in_use(&mut self, tile: TileCoord) -> bool {
-        let (frames, row_slot) = self.layout.window_bounds(tile);
+    /// emptiness test decoders use to skip untouched tiles. `false` for
+    /// tiles with no window.
+    pub fn tile_in_use(&self, tile: TileCoord) -> bool {
+        let Some((frames, row_slot)) = self.layout.window_bounds(tile) else {
+            return false;
+        };
         for f in frames {
             for b in row_slot..row_slot + virtex::config::BITS_PER_ROW {
                 if self.mem.get_bit(f, b) {
@@ -306,6 +305,13 @@ impl Jbits {
     }
 }
 
+/// Unwrap a resource position: the accessors require the tile (and pad)
+/// to have the resource.
+#[track_caller]
+fn must(pos: Option<BitPos>, tile: TileCoord) -> BitPos {
+    pos.unwrap_or_else(|| panic!("tile {tile} has no such resource (wrong tile kind or pad)"))
+}
+
 /// Expand a frame set to whole configuration columns (what JPG emits,
 /// since a module occupies full CLB columns).
 pub fn expand_to_columns(mem: &ConfigMemory, frames: Vec<usize>) -> Vec<usize> {
@@ -323,6 +329,15 @@ pub fn expand_to_columns(mem: &ConfigMemory, frames: Vec<usize>) -> Vec<usize> {
 mod tests {
     use super::*;
     use virtex::{MuxSetting, SliceResource, Wire, WireKind};
+
+    #[test]
+    fn sessions_on_one_device_share_one_layout() {
+        let a = Jbits::new(Device::XCV50);
+        let b = Jbits::from_memory(ConfigMemory::new(Device::XCV50));
+        assert!(std::ptr::eq(a.layout, b.layout));
+        assert!(std::ptr::eq(a.layout, Layout::of(Device::XCV50)));
+        assert!(!std::ptr::eq(a.layout, Jbits::new(Device::XCV100).layout));
+    }
 
     #[test]
     fn lut_set_get_roundtrip() {
@@ -407,7 +422,7 @@ mod tests {
         dev.feed(&partial).unwrap();
         assert_eq!(dev.memory(), var_jb.memory());
         // The original column is untouched by the partial.
-        let mut check = Jbits::from_memory(dev.into_memory());
+        let check = Jbits::from_memory(dev.into_memory());
         assert_eq!(check.get_lut(t0, SliceId::S0, LutId::F), 0x00FF);
         assert_eq!(check.get_lut(t1, SliceId::S1, LutId::G), 0x9669);
     }
@@ -427,7 +442,7 @@ mod tests {
         let mut jb = Jbits::new(Device::XCV50);
         jb.set_lut(TileCoord::new(1, 1), SliceId::S0, LutId::G, 0xBEEF);
         let bs = jb.full_bitstream();
-        let mut jb2 = Jbits::from_bitstream(Device::XCV50, &bs).unwrap();
+        let jb2 = Jbits::from_bitstream(Device::XCV50, &bs).unwrap();
         assert_eq!(
             jb2.get_lut(TileCoord::new(1, 1), SliceId::S0, LutId::G),
             0xBEEF

@@ -107,7 +107,7 @@ impl RtpCore {
     /// Capture every non-default resource and enabled PIP in the
     /// full-height column range `cols` (top/bottom ring included).
     /// Coordinates are stored relative to `cols.start()`.
-    pub fn extract(jb: &mut Jbits, cols: RangeInclusive<usize>) -> RtpCore {
+    pub fn extract(jb: &Jbits, cols: RangeInclusive<usize>) -> RtpCore {
         let device = jb.device();
         let g = device.geometry();
         let c0 = *cols.start() as i32;
@@ -342,7 +342,7 @@ mod tests {
         let mut jb = Jbits::new(Device::XCV50);
         make_module(&mut jb);
         let original = jb.memory().clone();
-        let core = RtpCore::extract(&mut jb, 2..=3);
+        let core = RtpCore::extract(&jb, 2..=3);
         assert!(core.op_count() > 0);
 
         // Stamping at the same place on a blank device reproduces the
@@ -356,7 +356,7 @@ mod tests {
     fn relocation_shifts_all_config_into_target_columns() {
         let mut jb = Jbits::new(Device::XCV50);
         make_module(&mut jb);
-        let core = RtpCore::extract(&mut jb, 2..=3);
+        let core = RtpCore::extract(&jb, 2..=3);
 
         let mut target = Jbits::new(Device::XCV50);
         core.stamp(&mut target, 10).unwrap();
@@ -403,7 +403,7 @@ mod tests {
             },
             true,
         );
-        let core = RtpCore::extract(&mut jb, 2..=2);
+        let core = RtpCore::extract(&jb, 2..=2);
         let pips = |c: &RtpCore| {
             c.ops
                 .iter()
@@ -432,7 +432,7 @@ mod tests {
     fn out_of_range_and_device_mismatch() {
         let mut jb = Jbits::new(Device::XCV50);
         make_module(&mut jb);
-        let core = RtpCore::extract(&mut jb, 2..=3);
+        let core = RtpCore::extract(&jb, 2..=3);
         let mut t = Jbits::new(Device::XCV50);
         assert_eq!(core.stamp(&mut t, 23), Err(CoreError::OutOfRange));
         let mut other = Jbits::new(Device::XCV100);

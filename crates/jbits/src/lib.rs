@@ -10,10 +10,15 @@
 //!   published; ours is derived from the canonical resource and PIP
 //!   enumerations of the `virtex` crate and documented here, which is all
 //!   the JPG experiments require (every size/time ratio is
-//!   layout-independent).
+//!   layout-independent). The map is fixed by the device, so there is one
+//!   immutable [`Layout`] per device ([`Layout::of`]), shared by every
+//!   session in the process; each tile's window fills lazily on first
+//!   touch and is lock-free to read after.
 //! * [`api`] — the [`Jbits`] object: open a device or a bitstream,
 //!   `set`/`get` resources, and extract **partial bitstreams** from the
 //!   frames dirtied since the last sync — the primitive JPG is built on.
+//!   A session is a configuration image over the shared layout, so
+//!   opening one builds nothing and every read takes `&self`.
 //! * [`xhwif`] — the XHWIF-style board abstraction JBits uses to push
 //!   (partial) bitstreams into real hardware; implemented by `simboard`.
 //!

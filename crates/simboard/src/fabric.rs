@@ -103,7 +103,7 @@ impl FabricModel {
     /// untouched tiles are skipped via a window emptiness test.
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
         let device = mem.device();
-        let mut jb = Jbits::from_memory(mem.clone());
+        let jb = Jbits::from_memory(mem.clone());
         let graph = virtex::RoutingGraph::new(device);
         let mut model = FabricModel {
             device,
@@ -120,7 +120,7 @@ impl FabricModel {
             }
             if tile.is_clb(device) {
                 for slice in SliceId::ALL {
-                    if let Some(d) = decode_slice(&mut jb, tile, slice) {
+                    if let Some(d) = decode_slice(&jb, tile, slice) {
                         model.slices.push(d);
                     }
                 }
@@ -167,14 +167,14 @@ impl FabricModel {
     }
 }
 
-fn decode_slice(jb: &mut Jbits, tile: TileCoord, slice: SliceId) -> Option<DecodedSlice> {
-    let get = |jb: &mut Jbits, r: SliceResource| jb.get(tile, ClbResource::new(slice, r)).bits();
-    let lut_f = get(jb, SliceResource::Lut(virtex::LutId::F)) as u16;
-    let lut_g = get(jb, SliceResource::Lut(virtex::LutId::G)) as u16;
-    let ffx = get(jb, SliceResource::FfX) == 1;
-    let ffy = get(jb, SliceResource::FfY) == 1;
-    let x_on = MuxSetting::decode(get(jb, SliceResource::FxMux)) == Some(MuxSetting::Primary);
-    let y_on = MuxSetting::decode(get(jb, SliceResource::GyMux)) == Some(MuxSetting::Primary);
+fn decode_slice(jb: &Jbits, tile: TileCoord, slice: SliceId) -> Option<DecodedSlice> {
+    let get = |r: SliceResource| jb.get(tile, ClbResource::new(slice, r)).bits();
+    let lut_f = get(SliceResource::Lut(virtex::LutId::F)) as u16;
+    let lut_g = get(SliceResource::Lut(virtex::LutId::G)) as u16;
+    let ffx = get(SliceResource::FfX) == 1;
+    let ffy = get(SliceResource::FfY) == 1;
+    let x_on = MuxSetting::decode(get(SliceResource::FxMux)) == Some(MuxSetting::Primary);
+    let y_on = MuxSetting::decode(get(SliceResource::GyMux)) == Some(MuxSetting::Primary);
     if !(ffx || ffy || x_on || y_on) {
         return None;
     }
@@ -185,13 +185,13 @@ fn decode_slice(jb: &mut Jbits, tile: TileCoord, slice: SliceId) -> Option<Decod
         lut_g,
         ffx,
         ffy,
-        init_x: get(jb, SliceResource::InitX) == 1,
-        init_y: get(jb, SliceResource::InitY) == 1,
-        dx_bypass: get(jb, SliceResource::DxMux) == 1,
-        dy_bypass: get(jb, SliceResource::DyMux) == 1,
+        init_x: get(SliceResource::InitX) == 1,
+        init_y: get(SliceResource::InitY) == 1,
+        dx_bypass: get(SliceResource::DxMux) == 1,
+        dy_bypass: get(SliceResource::DyMux) == 1,
         x_on,
         y_on,
-        ce: MuxSetting::decode(get(jb, SliceResource::CeMux)).unwrap_or(MuxSetting::Off),
+        ce: MuxSetting::decode(get(SliceResource::CeMux)).unwrap_or(MuxSetting::Off),
         clocked: false, // filled in by decode()
     })
 }

@@ -207,7 +207,8 @@ impl IobCoord {
         let (row, col) = rc.split_once('C')?;
         let row: i32 = row.parse().ok()?;
         let col: i32 = col.parse().ok()?;
-        Some(IobCoord::new(TileCoord::new(row - 1, col - 1), pad))
+        let tile = TileCoord::new(row.checked_sub(1)?, col.checked_sub(1)?);
+        Some(IobCoord::new(tile, pad))
     }
 }
 
@@ -291,6 +292,18 @@ mod tests {
         assert_eq!(io.site_name(), "IOB_R17C1.P0");
         assert_eq!(IobCoord::parse_site_name(&io.site_name()), Some(io));
         assert_eq!(IobCoord::parse_site_name("CLB_R1C1.S0"), None);
+    }
+
+    #[test]
+    fn iob_site_name_rejects_overflow() {
+        assert_eq!(IobCoord::parse_site_name("IOB_R-2147483648C1.P0"), None);
+        assert_eq!(IobCoord::parse_site_name("IOB_R1C-2147483648.P0"), None);
+        assert_eq!(IobCoord::parse_site_name("IOB_R2147483648C1.P0"), None);
+        let edge = IobCoord::parse_site_name("IOB_R-2147483647C2147483647.P0");
+        assert_eq!(
+            edge.map(|io| io.tile),
+            Some(TileCoord::new(i32::MIN, i32::MAX - 1))
+        );
     }
 
     #[test]

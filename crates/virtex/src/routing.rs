@@ -300,7 +300,8 @@ impl Wire {
         let (loc, rest) = s.split_once('/')?;
         let loc = loc.strip_prefix('R')?;
         let (row, col) = loc.split_once('C')?;
-        let tile = TileCoord::new(row.parse::<i32>().ok()? - 1, col.parse::<i32>().ok()? - 1);
+        let row = row.parse::<i32>().ok()?.checked_sub(1)?;
+        let tile = TileCoord::new(row, col.parse::<i32>().ok()?.checked_sub(1)?);
         let kind = if let Some(rest) = rest.strip_prefix("OMUX") {
             WireKind::Omux(rest.parse().ok()?)
         } else if let Some(rest) = rest.strip_prefix("SINGLE_") {

@@ -186,7 +186,11 @@ fn parse_tile(lex: &Lexer, w: &str) -> Result<TileCoord, ParseError> {
     let (r, c) = rc.split_once('C').ok_or_else(|| lex.err("bad tile name"))?;
     let row: i32 = r.parse().map_err(|_| lex.err("bad tile row"))?;
     let col: i32 = c.parse().map_err(|_| lex.err("bad tile column"))?;
-    Ok(TileCoord::new(row - 1, col - 1))
+    let row = row.checked_sub(1).ok_or_else(|| lex.err("bad tile row"))?;
+    let col = col
+        .checked_sub(1)
+        .ok_or_else(|| lex.err("bad tile column"))?;
+    Ok(TileCoord::new(row, col))
 }
 
 /// Parse XDL text into a design database.

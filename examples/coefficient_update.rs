@@ -63,7 +63,7 @@ fn main() {
             download_time(partial.byte_len()),
         );
         // Verify the device really holds the new table (readback path).
-        let mut check = Jbits::from_memory(dev.memory().clone());
+        let check = Jbits::from_memory(dev.memory().clone());
         assert_eq!(check.get_bram_contents(bram), Some(coefficients(*cutoff)));
     }
 

@@ -40,7 +40,7 @@ fn captured_ff_state_matches_live_counter() {
     let words = board.get_configuration().unwrap();
     let mut mem = virtex::ConfigMemory::new(Device::XCV50);
     mem.load_words(&words);
-    let mut reader = Jbits::from_memory(mem);
+    let reader = Jbits::from_memory(mem);
 
     // Recover each q bit from its FF's capture slot. The counter's
     // registered cells are named "...q<i>..."-independent, so locate them

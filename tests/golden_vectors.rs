@@ -117,7 +117,7 @@ fn golden_partial_applies_onto_golden_base() {
     let mut dev = bitstream::Interpreter::new(Device::XCV50);
     dev.feed(&base.full_bitstream()).unwrap();
     dev.feed(&partial).unwrap();
-    let mut check = Jbits::from_memory(dev.into_memory());
+    let check = Jbits::from_memory(dev.into_memory());
     assert_eq!(
         check.get_lut(TileCoord::new(9, 5), SliceId::S0, LutId::G),
         0x1239

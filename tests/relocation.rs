@@ -29,8 +29,8 @@ fn relocated_counter_still_counts() {
 
     // Extract the region as a relocatable core and stamp it 12 columns
     // to the right.
-    let mut jb = Jbits::from_memory(base.memory.clone());
-    let core = RtpCore::extract(&mut jb, 1..=8);
+    let jb = Jbits::from_memory(base.memory.clone());
+    let core = RtpCore::extract(&jb, 1..=8);
     assert!(core.op_count() > 0);
     const SHIFT: i32 = 12;
     let mut relocated = Jbits::new(Device::XCV50);
@@ -88,8 +88,8 @@ fn core_stamped_as_partial_onto_running_base() {
         23,
     )
     .unwrap();
-    let mut jb = Jbits::from_memory(base.memory.clone());
-    let core = RtpCore::extract(&mut jb, 1..=8);
+    let jb = Jbits::from_memory(base.memory.clone());
+    let core = RtpCore::extract(&jb, 1..=8);
 
     // Build the partial: stamp the copy into columns 13..=20 of the base
     // image and emit only the dirtied columns. The copy must not fight
