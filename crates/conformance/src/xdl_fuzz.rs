@@ -3,12 +3,14 @@
 //! as a typed error — never a panic.
 //!
 //! A case runs its files down the path a user's files take:
-//! [`xdl::parse`], then [`Constraints::parse`], then [`jpg::apply_design`]
-//! onto an XCV100 session. Even seeds byte-mutate the parser's sample
-//! design (or a design that translates cleanly) and its UCF. Odd seeds
-//! are grammar-aware: well-formed files whose sites, PIPs or regions sit
-//! where the device has no configuration bits, each pinned to the typed
-//! outcome it must end in.
+//! [`xdl::parse`], then [`Constraints::parse`] and the frame ranges of
+//! every `AREA_GROUP` ([`jpg::region_frame_ranges`]), then
+//! [`jpg::apply_design`] onto an XCV100 session. Even seeds byte-mutate
+//! the parser's sample design (or a design that translates cleanly) and
+//! its UCF. Odd seeds are grammar-aware: well-formed files whose sites,
+//! PIPs or regions sit where the device has no configuration bits, or
+//! whose regions run far past it, each pinned to the typed outcome it
+//! must end in.
 
 use crate::harness::Failure;
 use jbits::Jbits;
@@ -69,10 +71,14 @@ fn front_end(xdl_text: &str, ucf_text: &str) -> FrontEnd {
         Ok(d) => d,
         Err(e) => return FrontEnd::Parse(e),
     };
-    if let Err(e) = Constraints::parse(ucf_text) {
-        return FrontEnd::Ucf(e);
-    }
+    let constraints = match Constraints::parse(ucf_text) {
+        Ok(c) => c,
+        Err(e) => return FrontEnd::Ucf(e),
+    };
     let mut jb = Jbits::new(DEVICE);
+    for &region in constraints.groups.values() {
+        jpg::region_frame_ranges(jb.memory(), region);
+    }
     match jpg::apply_design(&mut jb, &design) {
         Ok(_) => FrontEnd::Translated,
         Err(e) => FrontEnd::Translate(e),
@@ -128,10 +134,12 @@ enum Grammar {
     DuplicateInstance,
     /// An `AREA_GROUP` range outside the die.
     AreaGroupOutsideDie,
+    /// An `AREA_GROUP` range from inside the die to column 2^31 - 1.
+    HugeAreaGroupRange,
 }
 
 /// All families, in the order the odd seeds cycle through them.
-const GRAMMAR: [Grammar; 8] = [
+const GRAMMAR: [Grammar; 9] = [
     Grammar::OffDevice,
     Grammar::Negative,
     Grammar::Huge,
@@ -140,6 +148,7 @@ const GRAMMAR: [Grammar; 8] = [
     Grammar::UnknownPip,
     Grammar::DuplicateInstance,
     Grammar::AreaGroupOutsideDie,
+    Grammar::HugeAreaGroupRange,
 ];
 
 /// A design that translates cleanly — the paper's slice, an input pad
@@ -273,6 +282,14 @@ fn grammar_case(family: Grammar, rng: &mut StdRng) -> (String, String, Expect) {
                  AREA_GROUP \"AG_far\" RANGE = CLB_R{r0}C{c0}:CLB_R{r1}C{c1} ;\n"
             );
             (design(""), ucf, expect)
+        }
+        Grammar::HugeAreaGroupRange => {
+            let ucf = format!(
+                "INST \"u1/*\" AREA_GROUP = \"AG_huge\" ;\n\
+                 AREA_GROUP \"AG_huge\" RANGE = CLB_R1C{col}:CLB_R{rows}C{} ;\n",
+                i32::MAX
+            );
+            (design(""), ucf, Expect::Translated)
         }
     }
 }

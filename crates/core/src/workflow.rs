@@ -374,15 +374,19 @@ fn region_of(base: &BaseDesign, prefix: &str) -> Rect {
 /// — every frame a partial for a module floorplanned in `region` can
 /// write (mirrors the column set `stamp_module` derives). One range per
 /// configuration column, in `region` column order then edge columns.
-/// Public plumbing for region-scoped consumers (the `fleet` service's
-/// store and readback verifier).
+/// Columns past the die are dropped before the walk, so a huge
+/// `AREA_GROUP` end column costs nothing. Public plumbing for
+/// region-scoped consumers (the `fleet` service's store and readback
+/// verifier).
 pub fn region_frame_ranges(mem: &ConfigMemory, region: Rect) -> Vec<bitstream::FrameRange> {
     use bitstream::FrameRange;
     use virtex::BlockType;
     let geom = mem.geometry();
-    let iob_right_major = mem.device().geometry().clb_cols as u8 + 1;
+    let clb_cols = mem.device().geometry().clb_cols;
+    let iob_right_major = clb_cols as u8 + 1;
     region
         .cols()
+        .take_while(|&c| c < clb_cols)
         .filter_map(|c| geom.major_for_clb_col(c))
         .chain([iob_right_major, iob_right_major + 1])
         .filter_map(|major| FrameRange::for_column(geom, BlockType::Clb, major))

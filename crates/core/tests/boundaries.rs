@@ -69,6 +69,30 @@ fn region_touching_iob_ring_does_not_wrap() {
 }
 
 #[test]
+fn huge_area_group_end_column_is_clamped_to_the_die() {
+    // An `AREA_GROUP` ending at column 2^31 - 1 used to walk every
+    // column up to it, each step a linear major search: ~2^31 steps.
+    let ucf = "AREA_GROUP \"AG\" RANGE = CLB_R1C1:CLB_R16C2147483647 ;";
+    let region = xdl::Constraints::parse(ucf).unwrap().groups["AG"];
+    assert_eq!(region.col1, i32::MAX - 1);
+    let d = Device::XCV50;
+    let mem = ConfigMemory::new(d);
+    let clb_cols = d.geometry().clb_cols;
+    let clamped = full_height_region(d, 0, clb_cols as i32 - 1);
+    let ranges = region_frame_ranges(&mem, region);
+    assert_eq!(ranges, region_frame_ranges(&mem, clamped));
+    // Every CLB column, then the two IOB edge columns.
+    let geom = mem.geometry();
+    let majors = (0..clb_cols)
+        .map(|c| geom.major_for_clb_col(c).unwrap())
+        .chain([clb_cols as u8 + 1, clb_cols as u8 + 2]);
+    let expect: Vec<FrameRange> = majors
+        .map(|m| FrameRange::for_column(geom, BlockType::Clb, m).unwrap())
+        .collect();
+    assert_eq!(ranges, expect);
+}
+
+#[test]
 fn rightmost_clb_and_iob_majors_are_distinct_columns() {
     for d in [Device::XCV50, Device::XCV1000] {
         let mem = ConfigMemory::new(d);

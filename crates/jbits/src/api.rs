@@ -1,7 +1,7 @@
 //! The [`Jbits`] object: resource-level configuration with dirty-frame
 //! tracking and partial-bitstream extraction.
 
-use crate::layout::{BitPos, Layout};
+use crate::layout::{slot_field, Layout};
 use bitstream::{bitgen, Bitstream, ConfigError, Interpreter};
 use std::collections::BTreeSet;
 use virtex::{
@@ -87,8 +87,7 @@ impl Jbits {
     /// the other slice and capture accessors.
     pub fn set(&mut self, tile: TileCoord, res: ClbResource, value: ResourceValue) {
         assert_eq!(value.width(), res.bit_width(), "width mismatch for {res:?}");
-        for i in 0..res.bit_width() {
-            let pos = must(self.layout.clb_resource_bit(tile, res, i), tile);
+        for (i, pos) in must(self.layout.clb_resource_bits(tile, res), tile).enumerate() {
             self.mem
                 .set_bit(pos.frame, pos.bit, (value.bits() >> i) & 1 == 1);
         }
@@ -97,8 +96,7 @@ impl Jbits {
     /// Get a slice resource.
     pub fn get(&self, tile: TileCoord, res: ClbResource) -> ResourceValue {
         let mut bits = 0u32;
-        for i in 0..res.bit_width() {
-            let pos = must(self.layout.clb_resource_bit(tile, res, i), tile);
+        for (i, pos) in must(self.layout.clb_resource_bits(tile, res), tile).enumerate() {
             if self.mem.get_bit(pos.frame, pos.bit) {
                 bits |= 1 << i;
             }
@@ -233,21 +231,25 @@ impl Jbits {
         Some(out)
     }
 
+    /// Append the enabled PIPs of `tile`: the PIPs of
+    /// [`virtex::RoutingGraph::tile_pips`] for which [`Self::get_pip`]
+    /// returns `Some(true)`, in that order, but read one frame word at a
+    /// time. Appends nothing for tiles with no window.
+    pub fn enabled_pips(&self, tile: TileCoord, out: &mut Vec<Pip>) {
+        self.layout.enabled_pips(&self.mem, tile, out);
+    }
+
     /// Whether any configuration bit in `tile`'s window is set — a fast
-    /// emptiness test decoders use to skip untouched tiles. `false` for
-    /// tiles with no window.
+    /// emptiness test decoders use to skip untouched tiles, one masked
+    /// row-slot field per frame. `false` for tiles with no window.
     pub fn tile_in_use(&self, tile: TileCoord) -> bool {
         let Some((frames, row_slot)) = self.layout.window_bounds(tile) else {
             return false;
         };
-        for f in frames {
-            for b in row_slot..row_slot + virtex::config::BITS_PER_ROW {
-                if self.mem.get_bit(f, b) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.mem
+            .frame_span(frames.start, frames.len())
+            .chunks_exact(self.mem.frame_words())
+            .any(|frame| slot_field(frame, row_slot) != 0)
     }
 
     // ----- dirty tracking & partials --------------------------------------
@@ -305,10 +307,10 @@ impl Jbits {
     }
 }
 
-/// Unwrap a resource position: the accessors require the tile (and pad)
+/// Unwrap resource positions: the accessors require the tile (and pad)
 /// to have the resource.
 #[track_caller]
-fn must(pos: Option<BitPos>, tile: TileCoord) -> BitPos {
+fn must<T>(pos: Option<T>, tile: TileCoord) -> T {
     pos.unwrap_or_else(|| panic!("tile {tile} has no such resource (wrong tile kind or pad)"))
 }
 

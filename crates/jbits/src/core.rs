@@ -112,7 +112,7 @@ impl RtpCore {
         let g = device.geometry();
         let c0 = *cols.start() as i32;
         let mut ops = Vec::new();
-        let graph = virtex::RoutingGraph::new(device);
+        let mut pips = Vec::new();
         for col in cols.clone() {
             // Ring + CLB rows of this column.
             for row in -1..=(g.clb_rows as i32) {
@@ -154,15 +154,13 @@ impl RtpCore {
                     }
                     _ => continue,
                 }
-                for pip in graph.tile_pips(tile) {
-                    if jb.get_pip(&pip) == Some(true) {
-                        ops.push(CoreOp::Pip {
-                            loc: shift_tile(pip.loc, -c0),
-                            from: shift_wire(pip.from, -c0),
-                            to: shift_wire(pip.to, -c0),
-                        });
-                    }
-                }
+                pips.clear();
+                jb.enabled_pips(tile, &mut pips);
+                ops.extend(pips.iter().map(|pip| CoreOp::Pip {
+                    loc: shift_tile(pip.loc, -c0),
+                    from: shift_wire(pip.from, -c0),
+                    to: shift_wire(pip.to, -c0),
+                }));
             }
         }
         RtpCore {

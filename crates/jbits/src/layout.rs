@@ -23,8 +23,8 @@ use std::sync::OnceLock;
 use virtex::config::BITS_PER_ROW;
 use virtex::routing::PADS_PER_IOB;
 use virtex::{
-    BlockType, ClbResource, ConfigGeometry, Device, IobResource, Pip, RoutingGraph, SliceId,
-    TileCoord, TileKind, Wire,
+    BlockType, ClbResource, ConfigGeometry, ConfigMemory, Device, IobResource, Pip, RoutingGraph,
+    SliceId, TileCoord, TileKind, Wire,
 };
 
 /// CAPTURE slots per CLB tile: the four flip-flops' state, written into
@@ -51,6 +51,9 @@ struct TileWindow {
     /// `(from, to) -> tile-local pip index`, sorted for binary search.
     /// Empty in a window that [`Layout::bounds`] computes on the fly.
     pips: Box<[((Wire, Wire), u32)]>,
+    /// The inverse of `pips`: tile-local pip index -> its entry there,
+    /// so a bit found set in the PIP region names its PIP directly.
+    by_index: Box<[u32]>,
     pip_base: usize,
 }
 
@@ -139,7 +142,12 @@ impl Layout {
             .map(|(i, p)| ((p.from, p.to), i as u32))
             .collect();
         pips.sort_unstable_by_key(|a| a.0);
+        let mut by_index = vec![0u32; pips.len()];
+        for (entry, &(_, i)) in pips.iter().enumerate() {
+            by_index[i as usize] = entry as u32;
+        }
         w.pips = pips.into_boxed_slice();
+        w.by_index = by_index.into_boxed_slice();
         // A racing thread may have filled the slot meanwhile; both built
         // the same window, so whichever landed first is kept.
         Some(slot.get_or_init(|| w))
@@ -168,6 +176,7 @@ impl Layout {
             // `row_bit_offset` rule extended to the ring rows.
             row_slot: (tile.row + 1) as usize * BITS_PER_ROW,
             pips: Box::default(),
+            by_index: Box::default(),
             // CLBs: logic bits, then the four CAPTURE slots (flip-flop
             // state snapshots for readback), then PIPs.
             pip_base: match kind {
@@ -189,8 +198,23 @@ impl Layout {
     /// `None` unless `tile` is a CLB tile.
     pub fn clb_resource_bit(&self, tile: TileCoord, res: ClbResource, i: usize) -> Option<BitPos> {
         debug_assert!(i < res.bit_width());
-        let local = clb_resource_offset(res) + i;
-        self.local_pos(tile, tile.is_clb(self.device), local)
+        self.clb_resource_bits(tile, res)?.nth(i)
+    }
+
+    /// Positions of every bit of a slice resource, bit 0 first: the tile
+    /// and resource are resolved once, not per bit. `None` unless `tile`
+    /// is a CLB tile.
+    pub fn clb_resource_bits(
+        &self,
+        tile: TileCoord,
+        res: ClbResource,
+    ) -> Option<impl Iterator<Item = BitPos> + '_> {
+        let w = tile
+            .is_clb(self.device)
+            .then(|| self.window(tile))
+            .flatten()?;
+        let local = clb_resource_offset(res);
+        Some((local..local + res.bit_width()).map(|l| w.local_to_pos(l)))
     }
 
     /// Position of bit `i` of an IOB pad resource. `None` unless `tile`
@@ -225,6 +249,36 @@ impl Layout {
         Some(w.local_to_pos(w.pip_base + w.pips[idx].1 as usize))
     }
 
+    /// Append the PIPs of `tile` whose enable bit is set in `mem`, in
+    /// canonical [`RoutingGraph::tile_pips`] order. Reads the PIP region
+    /// one row-slot field (one or two words) per frame instead of looking
+    /// each PIP up.
+    pub(crate) fn enabled_pips(&self, mem: &ConfigMemory, tile: TileCoord, out: &mut Vec<Pip>) {
+        let Some(w) = self.window(tile) else { return };
+        let end = w.pip_base + w.by_index.len();
+        for minor in w.pip_base / BITS_PER_ROW..end.div_ceil(BITS_PER_ROW) {
+            let lo = minor * BITS_PER_ROW;
+            let frame = w.local_to_pos(lo).frame;
+            let mut field = slot_field(mem.frame(frame), w.row_slot);
+            if lo < w.pip_base {
+                field &= SLOT_MASK << (w.pip_base - lo);
+            }
+            if end < lo + BITS_PER_ROW {
+                field &= (1 << (end - lo)) - 1;
+            }
+            while field != 0 {
+                let local = lo + field.trailing_zeros() as usize;
+                field &= field - 1;
+                let ((from, to), _) = w.pips[w.by_index[local - w.pip_base] as usize];
+                out.push(Pip {
+                    loc: tile,
+                    from,
+                    to,
+                });
+            }
+        }
+    }
+
     /// The tile window's frame range and per-frame bit offset of its
     /// 18-bit row slot — lets callers scan a tile's bits without going
     /// through per-resource lookups. `None` for tiles with no window.
@@ -232,6 +286,21 @@ impl Layout {
         let w = self.bounds(tile)?;
         Some((w.first_frame..w.first_frame + w.frame_count, w.row_slot))
     }
+}
+
+/// The low [`BITS_PER_ROW`] bits.
+const SLOT_MASK: u32 = (1 << BITS_PER_ROW) - 1;
+
+/// The 18-bit row-slot field of `frame` starting at frame bit `row_slot`:
+/// bit `i` of the result is frame bit `row_slot + i`. The field spans two
+/// words when it straddles a word boundary.
+pub(crate) fn slot_field(frame: &[u32], row_slot: usize) -> u32 {
+    let (word, shift) = (row_slot / 32, row_slot % 32);
+    let mut field = u64::from(frame[word]) >> shift;
+    if shift + BITS_PER_ROW > 32 {
+        field |= u64::from(frame[word + 1]) << (32 - shift);
+    }
+    field as u32 & SLOT_MASK
 }
 
 /// Tile-local bit offset of a slice resource: cumulative widths in

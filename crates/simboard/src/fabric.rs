@@ -99,12 +99,13 @@ pub struct FabricModel {
 }
 
 impl FabricModel {
-    /// Decode a configuration memory. `O(active tiles × pips per tile)`:
-    /// untouched tiles are skipped via a window emptiness test.
+    /// Decode a configuration memory. `O(active tiles × window frames)`:
+    /// untouched tiles are skipped via a window emptiness test, and a
+    /// tile's enabled PIPs are read one frame word at a time
+    /// ([`Jbits::enabled_pips`]).
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
         let device = mem.device();
         let jb = Jbits::from_memory(mem.clone());
-        let graph = virtex::RoutingGraph::new(device);
         let mut model = FabricModel {
             device,
             slices: Vec::new(),
@@ -112,9 +113,8 @@ impl FabricModel {
             pips: Vec::new(),
         };
 
-        let clb_tiles: Vec<TileCoord> = virtex::grid::clb_tiles(device).collect();
-        let iob_tiles: Vec<TileCoord> = virtex::grid::iob_tiles(device).collect();
-        for tile in clb_tiles.iter().chain(&iob_tiles).copied() {
+        let mut pips = Vec::new();
+        for tile in virtex::grid::clb_tiles(device).chain(virtex::grid::iob_tiles(device)) {
             if !jb.tile_in_use(tile) {
                 continue;
             }
@@ -138,20 +138,19 @@ impl FabricModel {
                     }
                 }
             }
-            for pip in graph.tile_pips(tile) {
-                if jb.get_pip(&pip) == Some(true) {
-                    model.pips.push((pip.from, pip.to));
-                }
-            }
+            pips.clear();
+            jb.enabled_pips(tile, &mut pips);
+            model.pips.extend(pips.iter().map(|p| (p.from, p.to)));
         }
 
-        // Clock connectivity + contention check.
-        let mut driver_count: HashMap<Wire, u32> = HashMap::new();
-        for (_, to) in &model.pips {
-            *driver_count.entry(*to).or_insert(0) += 1;
-        }
-        if let Some((w, _)) = driver_count.iter().find(|(_, &c)| c > 1) {
-            return Err(DecodeError::Contention { wire: w.name() });
+        // Contention check (a repeated destination is a doubly driven
+        // wire), then clock connectivity.
+        let mut driven: Vec<Wire> = model.pips.iter().map(|&(_, to)| to).collect();
+        driven.sort_unstable();
+        if let Some(pair) = driven.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(DecodeError::Contention {
+                wire: pair[0].name(),
+            });
         }
         for s in &mut model.slices {
             let clk = Wire::new(
@@ -161,7 +160,7 @@ impl FabricModel {
                     pin: SlicePin::Clk,
                 },
             );
-            s.clocked = driver_count.contains_key(&clk);
+            s.clocked = driven.binary_search(&clk).is_ok();
         }
         Ok(model)
     }
@@ -196,28 +195,120 @@ fn decode_slice(jb: &Jbits, tile: TileCoord, slice: SliceId) -> Option<DecodedSl
     })
 }
 
-/// The running simulation of a decoded fabric.
+/// Index of a wire in a [`FabricSim`]'s dense value table.
+type WireIdx = u32;
+
+/// A model slice's pins, resolved to dense wire indices once.
+#[derive(Debug, Clone)]
+struct SliceWires {
+    f: [WireIdx; 4],
+    g: [WireIdx; 4],
+    bx: WireIdx,
+    by: WireIdx,
+    ce: WireIdx,
+    x: WireIdx,
+    y: WireIdx,
+    xq: WireIdx,
+    yq: WireIdx,
+}
+
+/// The running simulation of a decoded fabric. Every wire the model
+/// names is interned to a dense index when the simulation starts, so
+/// settling and clocking run over flat vectors.
 #[derive(Debug, Clone)]
 pub struct FabricSim {
     model: FabricModel,
-    /// External value applied to each pad.
-    pad_in: HashMap<(TileCoord, u8), bool>,
+    /// Every model wire, sorted: a wire's dense index is its position.
+    wires: Vec<Wire>,
+    /// Wire values after the last settle, by dense index.
+    values: Vec<bool>,
+    /// Pins per model slice.
+    slice_wires: Vec<SliceWires>,
+    /// `(from, to)` per model PIP, in model order.
+    pips: Vec<(WireIdx, WireIdx)>,
+    /// Input pads (model IOBs with the input buffer on), sorted by
+    /// `(tile, pad)`: the `PadIn` wire and the value applied from
+    /// outside.
+    pad_in: Vec<((TileCoord, u8), WireIdx, bool)>,
     /// FF state per model slice: (X, Y).
     ff: Vec<(bool, bool)>,
-    /// Wire values after the last settle.
-    values: HashMap<Wire, bool>,
+    /// Per-pass scratch: the slice-output snapshot.
+    outs: Vec<(WireIdx, bool)>,
+    /// Per-pass scratch: the PIP-move snapshot, one value per PIP.
+    moves: Vec<bool>,
 }
+
+/// Every pin a slice's logic reads or drives, in [`SliceWires`] order.
+const SLICE_PINS: [SlicePin; 15] = {
+    use SlicePin::*;
+    [F1, F2, F3, F4, G1, G2, G3, G4, BX, BY, CE, X, Y, XQ, YQ]
+};
 
 impl FabricSim {
     /// Start simulating; FFs take their INIT values (the GSR behaviour on
     /// START).
     pub fn new(model: FabricModel) -> Result<FabricSim, DecodeError> {
+        let pin = |s: &DecodedSlice, pin| {
+            Wire::new(
+                s.tile,
+                WireKind::SlicePin {
+                    slice: s.slice,
+                    pin,
+                },
+            )
+        };
+        let pad_wire = |iob: &DecodedIob| Wire::new(iob.tile, WireKind::PadIn(iob.pad));
+        let inputs = || model.iobs.iter().filter(|iob| iob.inbuf);
+        let mut wires: Vec<Wire> = model
+            .slices
+            .iter()
+            .flat_map(|s| SLICE_PINS.map(|p| pin(s, p)))
+            .chain(model.pips.iter().flat_map(|&(from, to)| [from, to]))
+            .chain(inputs().map(pad_wire))
+            .collect();
+        wires.sort_unstable();
+        wires.dedup();
+        let idx = |w: Wire| wires.binary_search(&w).expect("interned") as WireIdx;
+
+        let slice_wires = model
+            .slices
+            .iter()
+            .map(|s| {
+                let [f1, f2, f3, f4, g1, g2, g3, g4, bx, by, ce, x, y, xq, yq] =
+                    SLICE_PINS.map(|p| idx(pin(s, p)));
+                SliceWires {
+                    f: [f1, f2, f3, f4],
+                    g: [g1, g2, g3, g4],
+                    bx,
+                    by,
+                    ce,
+                    x,
+                    y,
+                    xq,
+                    yq,
+                }
+            })
+            .collect();
+        let pips = model
+            .pips
+            .iter()
+            .map(|&(from, to)| (idx(from), idx(to)))
+            .collect();
+        let mut pad_in: Vec<_> = inputs()
+            .map(|iob| ((iob.tile, iob.pad), idx(pad_wire(iob)), false))
+            .collect();
+        pad_in.sort_unstable_by_key(|&(key, _, _)| key);
         let ff = model.slices.iter().map(|s| (s.init_x, s.init_y)).collect();
         let mut sim = FabricSim {
+            values: vec![false; wires.len()],
+            outs: Vec::with_capacity(4 * model.slices.len()),
+            moves: Vec::with_capacity(model.pips.len()),
             model,
-            pad_in: HashMap::new(),
+            wires,
+            slice_wires,
+            pips,
+            pad_in,
             ff,
-            values: HashMap::new(),
         };
         sim.settle()?;
         Ok(sim)
@@ -228,127 +319,76 @@ impl FabricSim {
         &self.model
     }
 
-    /// Drive a pad from outside.
+    /// Drive a pad from outside. Pads whose input buffer is off do not
+    /// reach the fabric, so driving them has no effect.
     pub fn set_pad(&mut self, tile: TileCoord, pad: u8, value: bool) {
-        self.pad_in.insert((tile, pad), value);
+        if let Ok(i) = self
+            .pad_in
+            .binary_search_by_key(&(tile, pad), |&(key, _, _)| key)
+        {
+            self.pad_in[i].2 = value;
+        }
     }
 
     /// Read a pad's fabric-driven value (the board-visible output).
     pub fn get_pad(&self, tile: TileCoord, pad: u8) -> bool {
-        self.values
-            .get(&Wire::new(tile, WireKind::PadOut(pad)))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    fn wire(&self, w: &Wire) -> bool {
-        self.values.get(w).copied().unwrap_or(false)
-    }
-
-    fn pin(&self, s: &DecodedSlice, pin: SlicePin) -> bool {
-        self.wire(&Wire::new(
-            s.tile,
-            WireKind::SlicePin {
-                slice: s.slice,
-                pin,
-            },
-        ))
-    }
-
-    fn lut_out(&self, s: &DecodedSlice, g: bool) -> bool {
-        let pins = if g {
-            [SlicePin::G1, SlicePin::G2, SlicePin::G3, SlicePin::G4]
-        } else {
-            [SlicePin::F1, SlicePin::F2, SlicePin::F3, SlicePin::F4]
-        };
-        let mut idx = 0usize;
-        for (i, p) in pins.iter().enumerate() {
-            if self.pin(s, *p) {
-                idx |= 1 << i;
-            }
-        }
-        let table = if g { s.lut_g } else { s.lut_f };
-        (table >> idx) & 1 == 1
+        self.wires
+            .binary_search(&Wire::new(tile, WireKind::PadOut(pad)))
+            .is_ok_and(|w| self.values[w])
     }
 
     /// Propagate combinational logic to a fixed point.
+    ///
+    /// Each pass drives the input pads, then writes a snapshot of every
+    /// slice output, then a snapshot of every PIP's source value onto
+    /// its destination.
     pub fn settle(&mut self) -> Result<(), DecodeError> {
         // Upper bound on combinational depth: every pass fixes at least
         // one more wire, so #pips + #slices + 2 passes suffice for any
         // loop-free circuit.
         let max_passes = self.model.pips.len() + self.model.slices.len() + 2;
+        let values = &mut self.values;
+        let set = |values: &mut [bool], w: WireIdx, v: bool| {
+            let old = std::mem::replace(&mut values[w as usize], v);
+            old != v
+        };
         for _ in 0..max_passes {
             let mut changed = false;
-            let set = |values: &mut HashMap<Wire, bool>, w: Wire, v: bool| {
-                if values.get(&w).copied().unwrap_or(false) != v {
-                    values.insert(w, v);
-                    true
-                } else {
-                    false
-                }
-            };
             // Pads drive the fabric.
-            for iob in &self.model.iobs {
-                if iob.inbuf {
-                    let v = self
-                        .pad_in
-                        .get(&(iob.tile, iob.pad))
-                        .copied()
-                        .unwrap_or(false);
-                    changed |= set(
-                        &mut self.values,
-                        Wire::new(iob.tile, WireKind::PadIn(iob.pad)),
-                        v,
-                    );
-                }
+            for &(_, w, v) in &self.pad_in {
+                changed |= set(values, w, v);
             }
             // Slice outputs.
-            let outs: Vec<(Wire, bool)> = self
+            self.outs.clear();
+            for ((s, w), &(qx, qy)) in self
                 .model
                 .slices
                 .iter()
-                .enumerate()
-                .flat_map(|(i, s)| {
-                    let mut v = Vec::new();
-                    let mk = |pin, val: bool| {
-                        (
-                            Wire::new(
-                                s.tile,
-                                WireKind::SlicePin {
-                                    slice: s.slice,
-                                    pin,
-                                },
-                            ),
-                            val,
-                        )
-                    };
-                    if s.x_on {
-                        v.push(mk(SlicePin::X, self.lut_out(s, false)));
-                    }
-                    if s.y_on {
-                        v.push(mk(SlicePin::Y, self.lut_out(s, true)));
-                    }
-                    if s.ffx {
-                        v.push(mk(SlicePin::XQ, self.ff[i].0));
-                    }
-                    if s.ffy {
-                        v.push(mk(SlicePin::YQ, self.ff[i].1));
-                    }
-                    v
-                })
-                .collect();
-            for (w, v) in outs {
-                changed |= set(&mut self.values, w, v);
+                .zip(&self.slice_wires)
+                .zip(&self.ff)
+            {
+                if s.x_on {
+                    self.outs.push((w.x, lut_out(values, s.lut_f, &w.f)));
+                }
+                if s.y_on {
+                    self.outs.push((w.y, lut_out(values, s.lut_g, &w.g)));
+                }
+                if s.ffx {
+                    self.outs.push((w.xq, qx));
+                }
+                if s.ffy {
+                    self.outs.push((w.yq, qy));
+                }
+            }
+            for &(w, v) in &self.outs {
+                changed |= set(values, w, v);
             }
             // PIP propagation.
-            let moves: Vec<(Wire, bool)> = self
-                .model
-                .pips
-                .iter()
-                .map(|(from, to)| (*to, self.wire(from)))
-                .collect();
-            for (w, v) in moves {
-                changed |= set(&mut self.values, w, v);
+            self.moves.clear();
+            self.moves
+                .extend(self.pips.iter().map(|&(from, _)| values[from as usize]));
+            for (&(_, to), &v) in self.pips.iter().zip(&self.moves) {
+                changed |= set(values, to, v);
             }
             if !changed {
                 return Ok(());
@@ -357,44 +397,43 @@ impl FabricSim {
         Err(DecodeError::Oscillation)
     }
 
-    fn ce_enabled(&self, s: &DecodedSlice) -> bool {
-        match s.ce {
-            MuxSetting::Primary => self.pin(s, SlicePin::CE),
-            _ => true, // OFF/ONE/unused: always enabled
-        }
-    }
-
     /// One rising edge of the global clock.
     pub fn clock(&mut self) -> Result<(), DecodeError> {
         self.settle()?;
-        let next: Vec<(usize, bool, bool)> = self
+        // Each FF's next state reads settled wires and its own state
+        // only, so updating in place equals updating from a snapshot.
+        let values = &self.values;
+        for ((s, w), ff) in self
             .model
             .slices
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.clocked && (s.ffx || s.ffy))
-            .map(|(i, s)| {
-                let en = self.ce_enabled(s);
-                let dx = if s.dx_bypass {
-                    self.pin(s, SlicePin::BX)
+            .zip(&self.slice_wires)
+            .zip(&mut self.ff)
+        {
+            if !(s.clocked && (s.ffx || s.ffy)) {
+                continue;
+            }
+            let en = match s.ce {
+                MuxSetting::Primary => values[w.ce as usize],
+                _ => true, // OFF/ONE/unused: always enabled
+            };
+            if !en {
+                continue;
+            }
+            if s.ffx {
+                ff.0 = if s.dx_bypass {
+                    values[w.bx as usize]
                 } else {
-                    self.lut_out(s, false)
+                    lut_out(values, s.lut_f, &w.f)
                 };
-                let dy = if s.dy_bypass {
-                    self.pin(s, SlicePin::BY)
+            }
+            if s.ffy {
+                ff.1 = if s.dy_bypass {
+                    values[w.by as usize]
                 } else {
-                    self.lut_out(s, true)
+                    lut_out(values, s.lut_g, &w.g)
                 };
-                let (cx, cy) = self.ff[i];
-                (
-                    i,
-                    if en && s.ffx { dx } else { cx },
-                    if en && s.ffy { dy } else { cy },
-                )
-            })
-            .collect();
-        for (i, x, y) in next {
-            self.ff[i] = (x, y);
+            }
         }
         self.settle()
     }
@@ -443,11 +482,21 @@ impl FabricSim {
 
     /// Reset all FFs to their INIT values (board-level GSR).
     pub fn reset(&mut self) {
-        for (i, s) in self.model.slices.iter().enumerate() {
-            self.ff[i] = (s.init_x, s.init_y);
+        for (ff, s) in self.ff.iter_mut().zip(&self.model.slices) {
+            *ff = (s.init_x, s.init_y);
         }
         let _ = self.settle();
     }
+}
+
+/// A LUT's output: its truth table indexed by its four input pins (pin
+/// `i` is address bit `i`).
+fn lut_out(values: &[bool], table: u16, pins: &[WireIdx; 4]) -> bool {
+    let idx = pins
+        .iter()
+        .enumerate()
+        .fold(0, |idx, (i, &w)| idx | usize::from(values[w as usize]) << i);
+    (table >> idx) & 1 == 1
 }
 
 #[cfg(test)]

@@ -774,11 +774,6 @@ impl RoutingGraph {
             .iter()
             .position(|p| p.from == pip.from && p.to == pip.to)
     }
-
-    /// Number of PIPs located in `tile`.
-    pub fn tile_pip_count(&self, tile: TileCoord) -> usize {
-        self.tile_pips(tile).len()
-    }
 }
 
 #[cfg(test)]
