@@ -1,6 +1,6 @@
-//! **E9**: the parallel incremental generation engine vs the serial
-//! full-diff reference, on the Figure-4 library (1 complete + 10
-//! partials, three regions on an XCV100).
+//! **E9**: the incremental generation engine vs a serial full-diff
+//! reference, on the Figure-4 library (1 complete + 10 partials, three
+//! regions on an XCV100).
 //!
 //! Both engines receive identical inputs — the ten stamped variant
 //! images (dirty marks included) and the base image — and must produce
@@ -10,17 +10,16 @@
 //! stage the incremental engine reworks, frame comparison plus packet
 //! emission:
 //!
-//! * **serial full-diff** — per variant: ground-truth full-memory diff
-//!   against the base, expand to whole configuration columns, serial
-//!   emission (the pre-incremental JBitsDiff-style flow, as
-//!   `JpgProject::generate_partial_full_diff` runs it);
+//! * **serial full-diff** — per variant, one at a time: ground-truth
+//!   full-memory diff against the base, expand to whole configuration
+//!   columns, emit (the pre-incremental JBitsDiff-style flow, inline
+//!   below as `serial_full_diff`);
 //! * **incremental + parallel** — prime one shared [`jpg::FrameCache`]
 //!   with the base image, then per variant: read the dirty-frame
 //!   byproduct of translation (no memory scan), hash-check those frames
-//!   against the cache, and emit only real changes through the
-//!   column-sharded parallel writer (the
-//!   `JpgProject::generate_partial_incremental` flow, variants fanned
-//!   out across Rayon workers).
+//!   against the cache, and emit only real changes (the
+//!   `JpgProject::generate_partial_incremental` flow), variants fanned
+//!   out across Rayon workers.
 
 use bench::{fig4_base, fig4_regions, header, row, FIG4_DEVICE};
 use bitstream::{bitgen, Bitstream, Interpreter};
@@ -82,7 +81,7 @@ fn incremental_par(base: &ConfigMemory, lib: &[StampedVariant]) -> Vec<Bitstream
         .map(|v| {
             let frames = cache.filter_changed(&v.memory, v.memory.dirty_frames());
             let runs = bitgen::coalesce_frames_bridged(frames, 1);
-            bitgen::partial_bitstream_par(&v.memory, &runs)
+            bitgen::partial_bitstream(&v.memory, &runs)
         })
         .collect()
 }
@@ -139,8 +138,8 @@ fn print_table(base: &ConfigMemory, lib: &[StampedVariant]) {
         bytes(&out_par).to_string(),
     ]);
     println!(
-        "speedup: {:.2}x  (partials {:.1}% of wholesale size; {} worker(s) — column \
-         shards and variants fan out further on multi-core hosts)",
+        "speedup: {:.2}x  (partials {:.1}% of wholesale size; {} worker(s) — variants \
+         fan out further on multi-core hosts)",
         t_serial.as_secs_f64() / t_par.as_secs_f64(),
         100.0 * bytes(&out_par) as f64 / bytes(&out_serial) as f64,
         rayon::current_num_threads()

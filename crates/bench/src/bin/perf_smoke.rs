@@ -1,17 +1,20 @@
 //! CI perf-smoke guard for the hot-path overhaul (E13): the pipelined
 //! Figure-4 library build must stay comfortably faster than the serial
 //! reference — a conservative floor, far below the measured speedup, so
-//! scheduler noise on shared CI runners cannot flake the job. On hosts
-//! with fewer than four workers the check degrades to the byte-identity
-//! assertion alone (there is no parallelism to measure).
+//! scheduler noise on shared CI runners cannot flake the job. The
+//! serial reference runs no parallel code (partial emission is serial),
+//! so two workers already give a real speedup to measure; on a
+//! one-worker host the check degrades to the byte-identity assertion
+//! alone.
 
 use bench::hotpath::{interleaved_medians, pipelined_library, serial_library, verify_identical};
 use bench::{fig4_base, fig4_regions};
 use std::process::ExitCode;
 
-/// Well under the ≥2x measured on 4 cores (EXPERIMENTS.md E13).
+/// Well under the 1.5–2.0x measured on 2 cores (EXPERIMENTS.md E13).
 const FLOOR: f64 = 1.3;
-const RUNS: usize = 3;
+/// Interleaved serial/pipelined pairs; the median of each side is used.
+const RUNS: usize = 7;
 
 fn main() -> ExitCode {
     let base = fig4_base();
@@ -20,7 +23,7 @@ fn main() -> ExitCode {
     println!("perf-smoke: serial and pipelined libraries byte-identical");
 
     let workers = rayon::current_num_threads();
-    if workers < 4 {
+    if workers < 2 {
         println!("perf-smoke: only {workers} worker(s); skipping speedup floor");
         return ExitCode::SUCCESS;
     }

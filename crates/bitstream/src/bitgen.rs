@@ -13,11 +13,8 @@
 //! The trailing pad frame per `FDRI` run mirrors the silicon's one-frame
 //! write pipeline: the final frame of any run is never committed.
 
-use crate::crc::{Crc16, BITS_PER_UPDATE};
-use crate::packet::{Packet, TYPE1_MAX_COUNT};
 use crate::regs::{Command, Register};
 use crate::writer::{Bitstream, BitstreamWriter};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use virtex::{BlockType, ConfigGeometry, ConfigMemory};
 
@@ -204,11 +201,8 @@ pub fn full_bitstream(mem: &ConfigMemory) -> Bitstream {
 /// in-flight logic is isolated during reconfiguration, matching the
 /// behaviour the paper relies on for dynamic updates.
 pub fn partial_bitstream(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    let _g = obs::span!("bitgen_serial", "runs" => ranges.len());
     let mut pad = Vec::new();
-    let bits = emit_partial_with(mem, ranges, Vec::new(), &mut pad);
-    record_emission(ranges, &bits);
-    bits
+    emit_partial_with(mem, ranges, Vec::new(), &mut pad)
 }
 
 /// [`partial_bitstream`] on recycled buffers: byte-identical output,
@@ -220,23 +214,29 @@ pub fn partial_bitstream_pooled(
     ranges: &[FrameRange],
     scratch: &mut GenScratch,
 ) -> Bitstream {
-    let _g = obs::span!("bitgen_pooled", "runs" => ranges.len());
     let buf = std::mem::take(&mut scratch.buf);
-    let bits = emit_partial_with(mem, ranges, buf, &mut scratch.pad);
-    record_emission(ranges, &bits);
-    bits
+    emit_partial_with(mem, ranges, buf, &mut scratch.pad)
 }
 
-/// The serial emitter body: one `FAR`/`WCFG`/`FDRI` run per range, with
+/// Alias of [`partial_bitstream`]. It stays only because the repository
+/// benchmark's `bitgen.emit` probe (`perfbench/`) calls it by this name.
+pub fn partial_bitstream_par(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
+    partial_bitstream(mem, ranges)
+}
+
+/// The one partial emitter: one `FAR`/`WCFG`/`FDRI` run per range, with
 /// frame payloads taken straight out of the config-memory slab
 /// ([`ConfigMemory::frame_span`]) and a shared zeroed pad frame — no
-/// per-range payload staging.
+/// per-range payload staging. Records the `bitgen_partial` span and the
+/// emission counters: packet runs, frames written (pad frames excluded),
+/// bytes out.
 fn emit_partial_with(
     mem: &ConfigMemory,
     ranges: &[FrameRange],
     buf: Vec<u32>,
     pad: &mut Vec<u32>,
 ) -> Bitstream {
+    let _g = obs::span!("bitgen_partial", "runs" => ranges.len());
     let geom = mem.geometry();
     pad.clear();
     pad.resize(mem.frame_words(), 0); // pipeline pad frame
@@ -259,105 +259,10 @@ fn emit_partial_with(
         .command(Command::Lfrm)
         .command(Command::Start)
         .command(Command::Desynch);
-    w.finish()
-}
-
-/// Counters shared by the serial and sharded emitters: packet runs,
-/// frames written (pad frames excluded), bytes out.
-fn record_emission(ranges: &[FrameRange], bits: &Bitstream) {
+    let bits = w.finish();
     obs::counter!("bitgen_runs_total").add(ranges.len() as u64);
     obs::counter!("bitgen_frames_emitted_total").add(ranges.iter().map(|r| r.len as u64).sum());
     obs::counter!("bitgen_bytes_total").add(bits.byte_len() as u64);
-}
-
-/// One range's packet run — `FAR` seek, `WCFG`, `FDRI` write of the
-/// frames plus the pipeline pad frame — with its CRC contribution
-/// computed from a zero register so sections can be built in any order
-/// (and on any worker) and spliced deterministically.
-struct RangeSection {
-    words: Vec<u32>,
-    crc: u16,
-    crc_bits: usize,
-}
-
-fn emit_range_section(mem: &ConfigMemory, range: FrameRange) -> RangeSection {
-    let _g = obs::span!("bitgen_shard", "frames" => range.len);
-    let geom = mem.geometry();
-    let fw = mem.frame_words();
-    let payload_len = (range.len + 1) * fw; // frames + pad frame
-    let mut words = Vec::with_capacity(payload_len + 6);
-    let mut crc = Crc16::new();
-
-    let far = far_word(geom, range.start);
-    words.push(Packet::write1(Register::Far, 1).encode());
-    words.push(far);
-    crc.update(Register::Far, far);
-
-    let wcfg = Command::Wcfg.code();
-    words.push(Packet::write1(Register::Cmd, 1).encode());
-    words.push(wcfg);
-    crc.update(Register::Cmd, wcfg);
-
-    if payload_len <= TYPE1_MAX_COUNT {
-        words.push(Packet::write1(Register::Fdri, payload_len).encode());
-    } else {
-        words.push(Packet::write1(Register::Fdri, 0).encode());
-        words.push(Packet::write2(payload_len).encode());
-    }
-    let payload_at = words.len();
-    words.extend_from_slice(mem.frame_span(range.start, range.len));
-    words.extend(std::iter::repeat_n(0, fw)); // pipeline pad frame
-    crc.update_slice(Register::Fdri, &words[payload_at..]);
-
-    RangeSection {
-        words,
-        crc: crc.value(),
-        // Covered words: the FAR word, the WCFG word and the FDRI payload
-        // (packet headers never enter the CRC).
-        crc_bits: (payload_len + 2) * BITS_PER_UPDATE,
-    }
-}
-
-/// [`partial_bitstream`], sharded across workers: each dirty range (one
-/// configuration column, or a contiguous run of them) is turned into its
-/// packet run and CRC contribution independently, then the sections are
-/// spliced in range order. The GF(2) linearity of the running CRC (see
-/// [`Crc16::combine`]) makes the splice exact, so the output is
-/// **byte-identical** to the serial generator's — a property the test
-/// suite pins across devices and random dirty sets.
-pub fn partial_bitstream_par(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    partial_bitstream_stitched(mem, ranges)
-}
-
-/// The sharded emitter behind [`partial_bitstream_par`]. Also worthwhile
-/// inline on a single worker: sections bulk-copy frame payloads and batch
-/// their CRC updates, where the serial writer streams word by word.
-pub fn partial_bitstream_stitched(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    let _g = obs::span!("bitgen_stitch", "runs" => ranges.len());
-    let geom = mem.geometry();
-    for range in ranges {
-        assert!(range.valid_for(geom), "frame range out of bounds");
-    }
-    let sections: Vec<RangeSection> = ranges
-        .par_iter()
-        .map(|r| emit_range_section(mem, *r))
-        .collect();
-
-    let mut w = BitstreamWriter::new();
-    w.sync()
-        .command(Command::Rcrc)
-        .reset_crc()
-        .write_reg(Register::Idcode, &[mem.device().idcode()])
-        .write_reg(Register::Flr, &[geom.frame_words() as u32]);
-    for s in &sections {
-        w.append_section(&s.words, s.crc, s.crc_bits);
-    }
-    w.write_crc()
-        .command(Command::Lfrm)
-        .command(Command::Start)
-        .command(Command::Desynch);
-    let bits = w.finish();
-    record_emission(ranges, &bits);
     bits
 }
 
@@ -430,7 +335,7 @@ mod tests {
         let runs = coalesce_frames_bridged(vec![3, 5, 6], 1);
         assert_eq!(runs, vec![FrameRange::new(3, 4)]);
         let mut dev = crate::Interpreter::new(Device::XCV50);
-        dev.feed(&partial_bitstream_par(&mem, &runs)).unwrap();
+        dev.feed(&partial_bitstream(&mem, &runs)).unwrap();
         assert_eq!(dev.memory(), &mem);
     }
 
@@ -478,7 +383,7 @@ mod tests {
         let runs = coalesce_frames_bridged_bounded(mem.dirty_frames(), 1, &[23]);
         assert_eq!(runs, vec![FrameRange::new(20, 3), FrameRange::new(23, 1)]);
         let mut dev = crate::Interpreter::new(Device::XCV50);
-        dev.feed(&partial_bitstream_par(&mem, &runs)).unwrap();
+        dev.feed(&partial_bitstream(&mem, &runs)).unwrap();
         assert_eq!(dev.memory(), &mem);
     }
 
@@ -492,14 +397,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn partial_stitched_rejects_out_of_range() {
+    fn partial_pooled_rejects_out_of_range() {
         let mem = ConfigMemory::new(Device::XCV50);
         let total = mem.geometry().total_frames();
-        let _ = partial_bitstream_stitched(&mem, &[FrameRange::new(total - 1, 2)]);
+        let _ = partial_bitstream_pooled(
+            &mem,
+            &[FrameRange::new(total - 1, 2)],
+            &mut GenScratch::new(),
+        );
     }
 
     #[test]
-    fn stitched_partial_is_byte_identical_to_serial() {
+    fn column_partial_lands_its_frames_and_nothing_else() {
         let mut mem = ConfigMemory::new(Device::XCV100);
         for f in [0, 9, 300, 301, 700] {
             mem.frame_mut(f)[0] = 0xC0DE_0000 | f as u32;
@@ -513,9 +422,22 @@ mod tests {
             FrameRange::for_column(&geom, BlockType::Clb, m2).unwrap(),
             FrameRange::new(700, 1),
         ];
-        let serial = partial_bitstream(&mem, &ranges);
-        let par = partial_bitstream_stitched(&mem, &ranges);
-        assert_eq!(serial.to_bytes(), par.to_bytes());
+        let bits = partial_bitstream(&mem, &ranges);
+        // Over a device that already holds other content, only the
+        // ranges' frames change.
+        let mut other = ConfigMemory::new(Device::XCV100);
+        for f in [1, 150, 301, 900] {
+            other.frame_mut(f)[2] = 0xBEEF;
+        }
+        let mut dev = crate::Interpreter::with_memory(other.clone());
+        dev.feed(&bits).unwrap();
+        for f in 0..geom.total_frames() {
+            let written = ranges.iter().any(|r| r.frames().contains(&f));
+            let expect = if written { &mem } else { &other };
+            assert_eq!(dev.memory().frame(f), expect.frame(f), "frame {f}");
+        }
+        let pooled = partial_bitstream_pooled(&mem, &ranges, &mut GenScratch::new());
+        assert_eq!(bits, pooled);
     }
 
     #[test]
@@ -556,22 +478,37 @@ mod tests {
     }
 
     #[test]
-    fn stitched_partial_handles_type2_payloads() {
+    fn partial_handles_type2_payloads() {
         // A range long enough that the FDRI write needs a type-2 header.
-        let mem = ConfigMemory::new(Device::XCV300);
-        let need = TYPE1_MAX_COUNT / mem.frame_words() + 2;
+        let mut mem = ConfigMemory::new(Device::XCV300);
+        let need = crate::packet::TYPE1_MAX_COUNT / mem.frame_words() + 2;
+        for f in 10..10 + need {
+            mem.frame_mut(f)[1] = f as u32;
+        }
         let ranges = [FrameRange::new(10, need)];
-        let serial = partial_bitstream(&mem, &ranges);
-        let par = partial_bitstream_stitched(&mem, &ranges);
-        assert_eq!(serial, par);
+        let bits = partial_bitstream(&mem, &ranges);
+        let type2 = crate::Packet::write2((need + 1) * mem.frame_words()).encode();
+        assert!(bits.words().contains(&type2), "no type-2 FDRI header");
+        let mut dev = crate::Interpreter::new(Device::XCV300);
+        dev.feed(&bits).unwrap();
+        assert_eq!(dev.memory(), &mem);
+        assert_eq!(
+            bits,
+            partial_bitstream_pooled(&mem, &ranges, &mut GenScratch::new())
+        );
     }
 
     #[test]
-    fn stitched_partial_with_no_ranges_matches_serial() {
-        let mem = ConfigMemory::new(Device::XCV50);
+    fn partial_with_no_ranges_changes_nothing() {
+        let mut mem = ConfigMemory::new(Device::XCV50);
+        mem.set_bit(40, 3, true);
+        let bits = partial_bitstream(&mem, &[]);
+        let mut dev = crate::Interpreter::new(Device::XCV50);
+        dev.feed(&bits).unwrap();
+        assert_eq!(dev.memory(), &ConfigMemory::new(Device::XCV50));
         assert_eq!(
-            partial_bitstream(&mem, &[]),
-            partial_bitstream_stitched(&mem, &[])
+            bits,
+            partial_bitstream_pooled(&mem, &[], &mut GenScratch::new())
         );
     }
 

@@ -153,7 +153,7 @@ const fn build_pow2() -> [Matrix; usize::BITS as usize] {
 
 /// Advance `state` through `bits` zero input bits: `L^bits(state)`. With
 /// the squared powers precomputed this is one 16-op vector apply per set
-/// bit of `bits` — cheap enough to run once per parallel section.
+/// bit of `bits` — cheap enough to run once per spliced section.
 fn advance(state: u16, bits: usize) -> u16 {
     let mut result = state;
     let mut n = bits;

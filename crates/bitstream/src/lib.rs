@@ -40,10 +40,7 @@ pub mod regs;
 pub mod writer;
 
 pub use bitfile::BitFile;
-pub use bitgen::{
-    full_bitstream, partial_bitstream, partial_bitstream_par, partial_bitstream_stitched,
-    FrameRange,
-};
+pub use bitgen::{full_bitstream, partial_bitstream, partial_bitstream_par, FrameRange};
 pub use interp::{ConfigError, Interpreter, StreamDiagnostic};
 pub use packet::{Packet, SYNC_WORD};
 pub use regs::{Command, Register};

@@ -274,6 +274,72 @@ mod tests {
         assert_eq!(a.finish(), b.finish());
     }
 
+    /// One `FAR`/`WCFG`/`FDRI` run built as a standalone section, its CRC
+    /// taken from a zero register — the shape the relocation engine
+    /// splices.
+    fn section(far: u32, payload: &[u32]) -> (Vec<u32>, u16, usize) {
+        let mut words = vec![Packet::write1(Register::Far, 1).encode(), far];
+        let mut crc = Crc16::new();
+        crc.update(Register::Far, far);
+        let wcfg = Command::Wcfg.code();
+        words.extend([Packet::write1(Register::Cmd, 1).encode(), wcfg]);
+        crc.update(Register::Cmd, wcfg);
+        if payload.len() <= TYPE1_MAX_COUNT {
+            words.push(Packet::write1(Register::Fdri, payload.len()).encode());
+        } else {
+            words.push(Packet::write1(Register::Fdri, 0).encode());
+            words.push(Packet::write2(payload.len()).encode());
+        }
+        words.extend_from_slice(payload);
+        crc.update_slice(Register::Fdri, payload);
+        let bits = (payload.len() + 2) * crate::crc::BITS_PER_UPDATE;
+        (words, crc.value(), bits)
+    }
+
+    #[test]
+    fn spliced_sections_match_direct_writes() {
+        let small: Vec<u32> = (0..40).map(|i| i * 11 + 1).collect();
+        let big: Vec<u32> = (0..TYPE1_MAX_COUNT as u32 + 200)
+            .map(|i| i.wrapping_mul(0x9E37_79B9))
+            .collect();
+        // Type-1 and type-2 FDRI runs, and an empty run list.
+        for runs in [
+            vec![(0x0042_0000, &small)],
+            vec![(0x0042_0000, &small), (0x0084_0200, &big)],
+            vec![],
+        ] {
+            let mut spliced = BitstreamWriter::new();
+            spliced.sync().reset_crc().write_reg(Register::Flr, &[12]);
+            let mut direct = BitstreamWriter::new();
+            direct.sync().reset_crc().write_reg(Register::Flr, &[12]);
+            for &(far, payload) in &runs {
+                let (words, crc, bits) = section(far, payload);
+                spliced.append_section(&words, crc, bits);
+                let (head, tail) = payload.split_at(payload.len() / 2);
+                direct
+                    .write_reg(Register::Far, &[far])
+                    .command(Command::Wcfg)
+                    .write_reg_slices(Register::Fdri, &[head, tail]);
+            }
+            assert_eq!(
+                spliced.crc_value(),
+                direct.crc_value(),
+                "{} runs",
+                runs.len()
+            );
+            spliced.write_crc();
+            direct.write_crc();
+            assert_eq!(spliced.finish(), direct.finish(), "{} runs", runs.len());
+        }
+        // An empty section moves neither the words nor the running CRC.
+        let mut w = BitstreamWriter::new();
+        w.sync().write_reg(Register::Far, &[7]);
+        let crc = w.crc_value();
+        w.append_section(&[], 0, 0);
+        assert_eq!(w.crc_value(), crc);
+        assert_eq!(w.finish().word_len(), 4);
+    }
+
     #[test]
     fn with_buffer_recycles_capacity_and_clears() {
         let mut w = BitstreamWriter::new();

@@ -7,7 +7,7 @@
 //!   BRAM content, raw configuration-plane pokes) over devices from
 //!   XCV50 to XCV1000;
 //! * [`harness`] — the differential core: every campaign runs through
-//!   the serial, parallel and stitched partial generators (asserting
+//!   the partial emitter on fresh and recycled buffers (asserting
 //!   byte-identical output), is played onto a device-side interpreter
 //!   under honest and adversarial schedules, and is readback-compared
 //!   against the in-memory oracle;

@@ -31,7 +31,8 @@ pub enum SeededBug {
     /// The last dirty range is dropped, as a stale frame-hash cache
     /// claiming "unchanged" would.
     StaleCacheHash,
-    /// The stitched splice declares one word too many of CRC coverage.
+    /// A spliced packet run — the relocation engine's section splice —
+    /// declares one word too many of CRC coverage.
     WrongCrcBits,
     /// No CRC check is ever written.
     SkippedCrcWrite,
@@ -104,8 +105,8 @@ pub fn mutant_partial(mem: &ConfigMemory, ranges: &[FrameRange], bug: SeededBug)
         }
 
         if bug == SeededBug::WrongCrcBits && k == 0 {
-            // The stitched path: splice a pre-built section, declaring
-            // its CRC span one covered word too long.
+            // The relocation engine's splice: a pre-built section,
+            // declaring its CRC span one covered word too long.
             let mut words = Vec::with_capacity(payload.len() + 6);
             let mut crc = Crc16::new();
             let far_w = far.to_word();

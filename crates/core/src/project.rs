@@ -200,16 +200,10 @@ impl JpgProject {
         constraints: &Constraints,
     ) -> Result<PartialResult, JpgError> {
         let stamped = self.stamp_module(design, constraints)?;
-        // The target columns wholesale, coalesced into maximal runs, and
-        // emitted with the column-sharded parallel generator (its output
-        // is byte-identical to the serial path; the test suite pins it).
-        let _g = obs::span!("generate");
+        // The target columns wholesale, coalesced into maximal runs.
         let frames: Vec<usize> = stamped.ranges.iter().flat_map(|r| r.frames()).collect();
         let runs = bitgen::coalesce_frames(frames);
-        let bits = bitgen::partial_bitstream_par(&stamped.memory, &runs);
-        let total_frames: usize = runs.iter().map(|r| r.len).sum();
-        drop(_g);
-        Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
+        Ok(self.emit_partial(design, constraints, stamped, &runs))
     }
 
     /// Generate an **incremental** partial bitstream: only frames whose
@@ -263,39 +257,8 @@ impl JpgProject {
 
         // Bridge single-frame gaps: re-emitting one unchanged frame is
         // cheaper than a fresh packet run plus its pipeline pad frame.
-        let _g = obs::span!("generate");
         let runs = bitgen::coalesce_frames_bridged(frames, 1);
-        let bits = bitgen::partial_bitstream_par(memory, &runs);
-        let total_frames: usize = runs.iter().map(|r| r.len).sum();
-        drop(_g);
-        Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
-    }
-
-    /// The pre-incremental reference engine, kept as a cross-check and
-    /// as the baseline `benches/par_generation` measures against: stamp
-    /// the module, decide what to emit with a ground-truth **full-memory
-    /// diff** against the base (no dirty byproduct, no frame cache),
-    /// expand the diff to whole configuration columns and emit with the
-    /// **serial** writer — the classic JBitsDiff column flow.
-    ///
-    /// Like [`Self::generate_partial_from`], the output covers whole
-    /// columns, so it is safe to apply over any earlier variant.
-    pub fn generate_partial_full_diff(
-        &self,
-        design: &Design,
-        constraints: &Constraints,
-    ) -> Result<PartialResult, JpgError> {
-        let stamped = self.stamp_module(design, constraints)?;
-        let diff_span = obs::span!("diff");
-        let diff = stamped.memory.diff_frames(&self.base);
-        let frames = jbits::expand_to_columns(&stamped.memory, diff);
-        drop(diff_span);
-        let _g = obs::span!("generate");
-        let runs = bitgen::coalesce_frames(frames);
-        let bits = bitgen::partial_bitstream(&stamped.memory, &runs);
-        let total_frames: usize = runs.iter().map(|r| r.len).sum();
-        drop(_g);
-        Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
+        Ok(self.emit_partial(design, constraints, stamped, &runs))
     }
 
     /// Shared front half of partial generation: validate the module,
@@ -329,7 +292,8 @@ impl JpgProject {
         let g = self.device().geometry();
         for inst in &design.instances {
             if let Some(r) = constraints.region_for(&inst.name) {
-                clb_cols.extend(r.cols());
+                // A UCF range may run past the die: keep its on-die part.
+                clb_cols.extend(r.cols().take_while(|&c| c < g.clb_cols));
             }
             match inst.placement {
                 Placement::Iob(io) if io.tile.col < 0 => use_left_iob_col = true,
@@ -401,16 +365,19 @@ impl JpgProject {
         })
     }
 
-    /// Shared back half: wrap an emitted bitstream into a
-    /// [`PartialResult`].
-    fn finish_partial(
+    /// Shared back half: emit `runs` of the stamped image and wrap the
+    /// stream into a [`PartialResult`].
+    fn emit_partial(
         &self,
         design: &Design,
         constraints: &Constraints,
         stamped: StampedModule,
-        bits: Bitstream,
-        total_frames: usize,
+        runs: &[FrameRange],
     ) -> PartialResult {
+        let bits = {
+            let _g = obs::span!("generate");
+            bitgen::partial_bitstream(&stamped.memory, runs)
+        };
         let region = bounding_region(design, constraints);
         let floorplan = render_floorplan(self.device(), design, Some(region));
         PartialResult {
@@ -422,7 +389,7 @@ impl JpgProject {
             ),
             bitstream: bits,
             clb_columns: stamped.clb_cols,
-            frames: total_frames,
+            frames: runs.iter().map(|r| r.len).sum(),
             stats: stamped.stats,
             memory: stamped.memory,
             floorplan,

@@ -1,8 +1,9 @@
 //! Device-edge boundary regressions: frame addressing at the first and
 //! last frames, `region_frame_ranges` at the leftmost/rightmost CLB
 //! columns, pad-frame behaviour when a write run ends on the device's
-//! final frame, and the last BRAM content column — on the smallest
-//! (XCV50) and largest (XCV1000) devices the harness fuzzes over.
+//! final frame, the last BRAM content column, and UCF regions running
+//! past the die's last CLB column — on the smallest (XCV50) and largest
+//! (XCV1000) devices the harness fuzzes over.
 
 use bitstream::{partial_bitstream, FrameRange, Interpreter};
 use jpg::region_frame_ranges;
@@ -150,5 +151,43 @@ fn last_bram_content_column_covers_the_device_tail() {
             "{d:?}: a BRAM content column ends the frame sequence"
         );
         assert!(FrameRange::for_column(geom, BlockType::BramContent, 2).is_none());
+    }
+}
+
+#[test]
+fn area_group_wider_than_the_die_generates_a_partial() {
+    // `JpgProject` walks the UCF region's columns itself; a range past
+    // the die's last CLB column used to panic on the first off-die
+    // column ("valid CLB column"), or push ~2^31 columns first.
+    use jpg::workflow::{build_base, implement_variant, ModuleSpec};
+    use jpg::JpgProject;
+    let d = Device::XCV50;
+    let modules = vec![ModuleSpec {
+        prefix: "mod1/".into(),
+        netlist: cadflow::gen::counter("up", 2),
+        region: full_height_region(d, 1, 8),
+    }];
+    let base = build_base("wide", d, &modules, 5).unwrap();
+    let variant = implement_variant(&base, "mod1/", &cadflow::gen::lfsr("l", 3), 5).unwrap();
+    assert!(
+        variant.ucf.contains("CLB_R1C2:CLB_R16C9"),
+        "{}",
+        variant.ucf
+    );
+    let project = JpgProject::open(base.bitstream.clone()).unwrap();
+    for range in ["CLB_R1C2:CLB_R16C60", "CLB_R1C2:CLB_R16C2147483647"] {
+        let ucf = variant.ucf.replace("CLB_R1C2:CLB_R16C9", range);
+        let partial = project
+            .generate_partial(&variant.xdl, &ucf)
+            .unwrap_or_else(|e| panic!("{range}: {e}"));
+        let clb_cols = d.geometry().clb_cols;
+        assert!(
+            partial.clb_columns.iter().all(|&c| c < clb_cols),
+            "{range}: {:?}",
+            partial.clb_columns
+        );
+        let mut dev = Interpreter::with_memory(project.base_memory().clone());
+        dev.feed(&partial.bitstream).unwrap();
+        assert_eq!(dev.memory(), &partial.memory, "{range}");
     }
 }

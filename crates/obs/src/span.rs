@@ -5,7 +5,7 @@
 //! No external tracing crate: a [`Span`] is an RAII guard that notes the
 //! wall-clock on entry and records a [`SpanEvent`] on drop. Nesting
 //! depth is tracked per thread, so a collector can reconstruct the
-//! stage tree (`generate` containing `bitgen_shard`s, and so on). For
+//! stage tree (`generate` containing `bitgen_partial`, and so on). For
 //! stages whose duration is *simulated* rather than measured — SelectMAP
 //! port time in `simboard`/`fleet` — [`record_duration`] emits an event
 //! with the model's duration directly.

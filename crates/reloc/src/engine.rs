@@ -9,9 +9,9 @@
 //! re-coalesces maximal contiguous runs, and emits each run as an
 //! independent section whose CRC16 contribution (computed from a zero
 //! register) is spliced into the running stream CRC through the GF(2)
-//! matrix machinery — the same splice the sharded generator uses, which
-//! is what makes the output **byte-identical** to a partial freshly
-//! generated at the target origin.
+//! matrix machinery ([`BitstreamWriter::append_section`]), which is what
+//! makes the output **byte-identical** to a partial freshly generated at
+//! the target origin.
 
 use crate::parse::parse_partial;
 use crate::RelocError;
@@ -175,8 +175,8 @@ struct MovedRun<'a> {
 }
 
 /// Emit one run as an independent section with its CRC contribution
-/// computed from a zero register — the relocation twin of the sharded
-/// generator's `emit_range_section`.
+/// computed from a zero register, for [`BitstreamWriter::append_section`]
+/// to splice in order.
 fn emit_moved_section(
     geom: &ConfigGeometry,
     fw: usize,

@@ -1,8 +1,8 @@
 //! Strict parser for JPG partial bitstreams.
 //!
 //! Relocation must not guess: before any `FAR` is rewritten, the input
-//! is parsed against the exact wire shape every generator in this
-//! workspace emits (serial, pooled and stitched are byte-identical):
+//! is parsed against the exact wire shape the partial emitter
+//! (`bitstream::partial_bitstream`, fresh or pooled) writes:
 //!
 //! ```text
 //! DUMMY SYNC

@@ -1,16 +1,17 @@
-//! Equivalence guarantees of the incremental/parallel generation engine:
+//! Equivalence guarantees of the incremental generation engine:
 //!
-//! * `bitgen::partial_bitstream_par` (and the sharded
-//!   `partial_bitstream_stitched` behind it) is **byte-identical** to the
-//!   serial generator for every device and randomized dirty set we throw
-//!   at it;
+//! * the partial emitter lands exactly the image it was cut from, and
+//!   its pooled form (`bitgen::partial_bitstream_pooled`, one recycled
+//!   `GenScratch`) is **byte-identical** to the fresh one, for every
+//!   device and randomized dirty set we throw at it;
 //! * the dirty-frame byproduct of writing through the configuration API
 //!   reports exactly the frames a ground-truth full-memory diff reports
 //!   (and stays a superset when writes revert);
 //! * the incremental variant-library builder produces partials that land
 //!   the device in the same final state as the wholesale builder.
 
-use bitstream::{bitgen, Interpreter};
+use bitstream::bitgen::{self, GenScratch};
+use bitstream::Interpreter;
 use cadflow::gen;
 use jpg::workflow::{
     build_base, build_variant_library, build_variant_library_incremental, ModuleSpec,
@@ -35,44 +36,46 @@ fn random_dirty_memory(device: Device, seed: u64, writes: usize) -> ConfigMemory
 }
 
 #[test]
-fn par_is_byte_identical_to_serial_on_every_device() {
+fn partial_lands_its_image_on_every_device() {
+    let mut scratch = GenScratch::new();
     for (i, device) in Device::ALL.into_iter().enumerate() {
         let mem = random_dirty_memory(device, 0xA5A5 + i as u64, 200);
         let ranges = bitgen::coalesce_frames(mem.dirty_frames());
         assert!(!ranges.is_empty());
-        let serial = bitgen::partial_bitstream(&mem, &ranges);
-        for par in [
-            bitgen::partial_bitstream_par(&mem, &ranges),
-            bitgen::partial_bitstream_stitched(&mem, &ranges),
-        ] {
-            assert_eq!(
-                serial.to_bytes(),
-                par.to_bytes(),
-                "serial/parallel outputs diverge on {device}"
-            );
-        }
-        let par = bitgen::partial_bitstream_stitched(&mem, &ranges);
+        let bits = bitgen::partial_bitstream(&mem, &ranges);
+        let pooled = bitgen::partial_bitstream_pooled(&mem, &ranges, &mut scratch);
+        assert_eq!(
+            bits.to_bytes(),
+            pooled.to_bytes(),
+            "fresh/pooled outputs diverge on {device}"
+        );
+        scratch.recycle(pooled);
 
         // The partial really configures the frames it claims: applying it
         // to an erased device reproduces the image (untouched frames are
         // zero on both sides).
         let mut dev = Interpreter::new(device);
-        dev.feed(&par).expect("partial applies");
+        dev.feed(&bits).expect("partial applies");
         assert_eq!(dev.memory(), &mem, "applied state wrong on {device}");
     }
 }
 
 #[test]
-fn par_is_byte_identical_across_random_dirty_sets() {
+fn pooled_is_byte_identical_across_random_dirty_sets() {
     // Many dirty-set shapes on one mid-size device: sparse, dense, and
-    // everything between.
+    // everything between, through one recycled scratch.
+    let mut scratch = GenScratch::new();
     for seed in 0..20u64 {
         let writes = 1 + (seed as usize * 37) % 500;
         let mem = random_dirty_memory(Device::XCV300, 0xD1CE + seed, writes);
         let ranges = bitgen::coalesce_frames(mem.dirty_frames());
-        let serial = bitgen::partial_bitstream(&mem, &ranges);
-        let par = bitgen::partial_bitstream_stitched(&mem, &ranges);
-        assert_eq!(serial, par, "seed {seed} ({writes} writes)");
+        let bits = bitgen::partial_bitstream(&mem, &ranges);
+        let pooled = bitgen::partial_bitstream_pooled(&mem, &ranges, &mut scratch);
+        assert_eq!(bits, pooled, "seed {seed} ({writes} writes)");
+        let mut dev = Interpreter::new(Device::XCV300);
+        dev.feed(&pooled).expect("partial applies");
+        assert_eq!(dev.memory(), &mem, "applied state wrong, seed {seed}");
+        scratch.recycle(pooled);
     }
 }
 
