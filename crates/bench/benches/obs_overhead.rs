@@ -5,11 +5,11 @@
 //! * hot-path instrument cost — one counter add and one span
 //!   enter/drop, in ns/op (the price every instrumented call site
 //!   pays);
-//! * span machinery off vs on — the same guard with recording disabled
-//!   at runtime (`obs::set_enabled(false)`), measuring the fast-path
-//!   early-out a disabled fleet rides;
-//! * end-to-end generation — the Figure-4 wholesale partial flow with
-//!   spans recording vs disabled. The paper-scale workload shows the
+//! * span machinery with and without a sink — the same guard with no
+//!   span sink installed (`obs::install_sink` never called), measuring
+//!   the one-atomic-load early-out an untraced service rides;
+//! * end-to-end generation — the Figure-4 wholesale partial flow with a
+//!   sink installed vs none. The paper-scale workload shows the
 //!   per-stage spans (a handful per partial) vanish against frame
 //!   hashing and packet emission.
 //!
@@ -37,26 +37,24 @@ fn hot_path_table() {
     let histogram = obs::global().histogram("bench_obs_hot_us", &[]);
     let count_ns = ns_per_op(N, || counter.inc());
     let hist_ns = ns_per_op(N, || histogram.record(std::time::Duration::from_micros(7)));
+    obs::install_sink();
     let span_on_ns = ns_per_op(N, || {
         let _g = obs::span!("bench_tick");
     });
-    let was = obs::set_enabled(false);
+    let _ = obs::take_sink();
     let span_off_ns = ns_per_op(N, || {
         let _g = obs::span!("bench_tick");
     });
-    obs::set_enabled(was);
-    // Keep the ring from aging real spans out on this thread.
-    let _ = obs::take_thread_spans();
 
     header(&["instrument", "ns/op"]);
     row(&["counter.inc".into(), format!("{count_ns:.1}")]);
     row(&["histogram.record".into(), format!("{hist_ns:.1}")]);
     row(&[
-        "span enter+drop (recording)".into(),
+        "span enter+drop (sink installed)".into(),
         format!("{span_on_ns:.1}"),
     ]);
     row(&[
-        "span enter+drop (disabled)".into(),
+        "span enter+drop (no sink)".into(),
         format!("{span_off_ns:.1}"),
     ]);
 }
@@ -64,7 +62,7 @@ fn hot_path_table() {
 fn bench(c: &mut Criterion) {
     hot_path_table();
 
-    // End-to-end: Figure-4 wholesale partials, spans on vs off.
+    // End-to-end: Figure-4 wholesale partials, sink installed vs none.
     let base = fig4_base();
     let project = JpgProject::from_memory("e12", base.memory.clone());
     let mut variants = Vec::new();
@@ -98,16 +96,17 @@ fn bench(c: &mut Criterion) {
             .expect("at least one pass")
     };
     generate_all();
+    obs::install_sink();
     let on = min_of(5);
-    let was = obs::set_enabled(false);
+    let _ = obs::take_sink();
     let off = min_of(5);
-    obs::set_enabled(was);
     println!(
-        "fig4 library generation: spans on {on:?}, off {off:?} ({:+.2}%; obs-off feature: {})",
+        "fig4 library generation: sink {on:?}, no sink {off:?} ({:+.2}%; obs-off feature: {})",
         100.0 * (on.as_secs_f64() / off.as_secs_f64().max(f64::EPSILON) - 1.0),
         cfg!(feature = "obs-off"),
     );
 
+    // No sink installed from here on except inside `obs_on`.
     c.bench_function("obs/span_guard", |b| {
         b.iter(|| {
             let _g = obs::span!("bench_tick");
@@ -115,12 +114,12 @@ fn bench(c: &mut Criterion) {
     });
     let counter = obs::global().counter("bench_obs_hot_total", &[]);
     c.bench_function("obs/counter_inc", |b| b.iter(|| counter.inc()));
-    c.bench_function("e12/fig4_generation_obs_on", |b| b.iter(generate_all));
-    c.bench_function("e12/fig4_generation_obs_off", |b| {
-        let was = obs::set_enabled(false);
+    c.bench_function("e12/fig4_generation_obs_on", |b| {
+        obs::install_sink();
         b.iter(generate_all);
-        obs::set_enabled(was);
+        let _ = obs::take_sink();
     });
+    c.bench_function("e12/fig4_generation_obs_off", |b| b.iter(generate_all));
 }
 
 criterion_group!(benches, bench);

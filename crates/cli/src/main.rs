@@ -685,9 +685,11 @@ fn render_fleet_json(spec: &fleet::FleetSimSpec, r: &fleet::SimReport) -> String
     s
 }
 
-/// Analyze a JSONL trace dump from `fleet-sim --trace`: per-stage
-/// p50/p99 breakdown plus critical-path attribution for the requests at
-/// or above the chosen end-to-end latency quantile.
+/// Analyze a JSONL span dump — `report --format jsonl` or `fleet-sim
+/// --trace` — into a per-stage p50/p99 breakdown with each stage's
+/// clock, plus critical-path attribution for the requests at or above
+/// the chosen end-to-end latency quantile (fleet dumps only: CAD dumps
+/// have no request spans).
 fn trace_cmd(args: &[String]) -> ExitCode {
     let (flags, bare) = parse_flags(args);
     let run = || -> Result<(), String> {
@@ -712,16 +714,9 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         // silent zero-span report or a bare parse failure.
         let spans = obs::trace::parse_jsonl_strict(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("trace: {} spans from {path}", spans.len());
-        println!(
-            "{:<10} {:>8} {:>12} {:>12} {:>14} {:>12}",
-            "stage", "count", "p50_ns", "p99_ns", "total_ns", "max_ns"
-        );
-        for st in obs::trace::stage_breakdown(&spans) {
-            println!(
-                "{:<10} {:>8} {:>12} {:>12} {:>14} {:>12}",
-                st.stage, st.count, st.p50_ns, st.p99_ns, st.total_ns, st.max_ns
-            );
-        }
+        let stats =
+            obs::stage_breakdown(spans.iter().map(|s| (s.stage.as_str(), s.clock, s.dur_ns)));
+        print!("{}", obs::stage_table(&stats));
         match obs::trace::critical_path(&spans, q) {
             Some(cp) => {
                 println!(

@@ -159,7 +159,10 @@ fn report_command_prints_all_formats_and_passes_schema_check() {
     let stdout = String::from_utf8_lossy(&jsonl.stdout);
     assert!(stdout.lines().count() > 5, "{stdout}");
     assert!(
-        stdout.lines().all(|l| l.starts_with("{\"span\":\"")),
+        stdout
+            .lines()
+            .all(|l| l.starts_with("{\"trace\":0,\"parent\":0,\"stage\":\"")
+                && l.contains("\"clock\":\"")),
         "{stdout}"
     );
 
@@ -657,7 +660,8 @@ fn trace_rejects_empty_and_truncated_dumps_with_line_numbers() {
     assert!(stderr.contains("empty.jsonl"), "{stderr}");
 
     // A dump cut off mid-write names the offending line.
-    let good = "{\"trace\":1,\"parent\":0,\"stage\":\"request\",\"start_ns\":0,\
+    let good =
+        "{\"trace\":1,\"parent\":0,\"stage\":\"request\",\"clock\":\"virtual\",\"start_ns\":0,\
                 \"dur_ns\":10,\"shard\":0,\"seq\":0,\"board\":-1,\"fields\":{}}";
     let truncated = dir.join("truncated.jsonl");
     std::fs::write(&truncated, format!("{good}\n{}", &good[..good.len() / 2])).unwrap();
@@ -669,6 +673,50 @@ fn trace_rejects_empty_and_truncated_dumps_with_line_numbers() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
     assert!(stderr.contains("truncated"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_reads_a_report_dump_with_each_stage_clock() {
+    let dir = tmpdir("report-trace");
+    let dump = dir.join("report.jsonl");
+    let out = Command::new(bin())
+        .args(["report", "--workload", "smoke", "--format", "jsonl"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::write(&dump, &out.stdout).unwrap();
+
+    let out = Command::new(bin())
+        .args(["trace", dump.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "trace on a report dump failed: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Each stage row reads `<stage>  <clock>  …`.
+    let clock_of = |stage: &str| {
+        let row = stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(stage))
+            .unwrap_or_else(|| panic!("stage {stage} missing:\n{stdout}"));
+        row.split_whitespace().nth(1).unwrap().to_string()
+    };
+    assert_eq!(clock_of("download"), "modelled", "{stdout}");
+    assert_eq!(clock_of("verify"), "modelled", "{stdout}");
+    assert_eq!(clock_of("translate"), "wall", "{stdout}");
+    assert!(
+        stdout.contains("critical path: no request spans"),
+        "{stdout}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -913,7 +961,12 @@ fn fleet_sim_trace_slo_and_trace_analysis_end_to_end() {
     assert!(out.status.success(), "jpg-cli trace failed: {stderr}");
     let report = String::from_utf8_lossy(&out.stdout);
     for stage in ["request", "queue", "download"] {
-        assert!(report.contains(stage), "stage {stage} missing:\n{report}");
+        assert!(
+            report
+                .lines()
+                .any(|l| l.starts_with(stage) && l.contains(" virtual ")),
+            "stage {stage} missing or not on the virtual clock:\n{report}"
+        );
     }
     assert!(report.contains("critical path:"), "{report}");
     assert!(report.contains("dominant stage:"), "{report}");

@@ -8,10 +8,10 @@
 //! interchangeable module variants per region, partial bitstreams
 //! generated for each variant and pushed to a simulated board with a
 //! region readback compare after every download. Stage timings mix two
-//! clocks deliberately: CAD-side stages (parse/translate/diff/generate)
-//! are wall-clock spans, while download and verify carry the *simulated*
-//! SelectMAP byte-cycle durations — the paper's argument is about port
-//! time, not host time.
+//! clocks deliberately, and every stage says which: CAD-side stages
+//! (parse/translate/diff/generate) are wall-clock spans, while download
+//! and verify carry the *modelled* SelectMAP byte-cycle durations — the
+//! paper's argument is about port time, not host time.
 
 use crate::cache::FrameCache;
 use crate::project::JpgProject;
@@ -50,7 +50,7 @@ pub const REQUIRED_METRICS: &[&str] = &[
 ];
 
 /// The canonical pipeline order for the stage table; spans outside this
-/// list (bitgen internals, …) sort after, by first occurrence.
+/// list (bitgen internals, …) sort after, largest total first.
 const STAGE_ORDER: &[&str] = &[
     "parse",
     "translate",
@@ -154,12 +154,12 @@ pub struct Report {
     /// Runs aggregated into the stage table (1 = single shot; see
     /// [`run_repeated`]).
     pub repeats: usize,
-    /// Per-stage aggregates, pipeline stages first. With repeats > 1,
-    /// `count`/`total_ns` are per-run medians and `max_ns` the overall
-    /// maximum.
-    pub stages: Vec<obs::SpanStat>,
-    /// Raw span events (for JSONL export).
-    pub spans: Vec<obs::SpanEvent>,
+    /// Per-stage aggregates, pipeline stages first, each on its clock.
+    /// With repeats > 1, `count`/`total_ns`/`p50_ns`/`p99_ns` are
+    /// per-run medians and `max_ns` the overall maximum.
+    pub stages: Vec<obs::StageStat>,
+    /// The final run's spans (for JSONL export).
+    pub trace: obs::Trace,
     /// Snapshot of the global metric registry after the run.
     pub snapshot: obs::Snapshot,
     /// Partial bitstreams generated and downloaded.
@@ -172,27 +172,26 @@ pub struct Report {
     pub verify_failures: usize,
 }
 
-/// Run `workload` end to end with tracing live and collect the report.
+/// Run `workload` end to end with the span sink installed and collect
+/// the report.
 pub fn run(workload: Workload) -> Result<Report, String> {
-    let collector = std::sync::Arc::new(obs::VecCollector::new(1 << 17));
-    obs::set_collector(Some(collector.clone()));
+    obs::install_sink();
     let result = run_traced(workload);
-    obs::set_collector(None);
-    let spans = collector.take();
+    let trace = obs::take_sink().unwrap_or_default();
     let (partials, full_bytes, partial_bytes, verify_failures) = result?;
 
-    let mut stats = obs::aggregate_spans(&spans);
-    stats.sort_by_key(|s| {
+    let mut stages = obs::stage_breakdown(trace.spans.iter().map(|s| (s.stage, s.clock, s.dur_ns)));
+    stages.sort_by_key(|s| {
         STAGE_ORDER
             .iter()
-            .position(|&n| n == s.name)
+            .position(|&n| n == s.stage)
             .unwrap_or(STAGE_ORDER.len())
     });
     Ok(Report {
         workload,
         repeats: 1,
-        stages: stats,
-        spans,
+        stages,
+        trace,
         snapshot: obs::global().snapshot(),
         partials,
         full_bytes,
@@ -202,7 +201,7 @@ pub fn run(workload: Workload) -> Result<Report, String> {
 }
 
 /// Run `workload` `repeats` times and report per-stage **medians** of
-/// the per-run totals (plus the overall per-stage maximum), damping
+/// the per-run stats (plus the overall per-stage maximum), damping
 /// single-shot scheduling noise. Spans and scalar counts come from the
 /// final run; the metric snapshot is the global registry after all
 /// runs, so counter totals accumulate across repeats.
@@ -220,17 +219,19 @@ pub fn run_repeated(workload: Workload, repeats: usize) -> Result<Report, String
         return Ok(report);
     }
     for stage in report.stages.iter_mut() {
-        let mut totals: Vec<u64> = vec![stage.total_ns];
-        let mut counts: Vec<u64> = vec![stage.count];
-        for prior in &runs {
-            if let Some(p) = prior.stages.iter().find(|s| s.name == stage.name) {
-                totals.push(p.total_ns);
-                counts.push(p.count);
-                stage.max_ns = stage.max_ns.max(p.max_ns);
-            }
-        }
-        stage.total_ns = median(&mut totals);
-        stage.count = median(&mut counts);
+        let same = |s: &&obs::StageStat| (&s.stage, s.clock) == (&stage.stage, stage.clock);
+        let mut seen: Vec<obs::StageStat> = runs
+            .iter()
+            .filter_map(|r| r.stages.iter().find(same).cloned())
+            .collect();
+        seen.push(stage.clone());
+        let med =
+            |f: fn(&obs::StageStat) -> u64| median(&mut seen.iter().map(f).collect::<Vec<_>>());
+        stage.count = med(|s| s.count);
+        stage.total_ns = med(|s| s.total_ns);
+        stage.p50_ns = med(|s| s.p50_ns);
+        stage.p99_ns = med(|s| s.p99_ns);
+        stage.max_ns = seen.iter().map(|s| s.max_ns).max().unwrap_or(0);
     }
     Ok(report)
 }
@@ -288,7 +289,7 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
     // content, so generated but not downloaded) and wholesale from the
     // XDL/UCF text (the paper's JPG input path, safe over any variant).
     // The CAD stages of different variants overlap across worker
-    // threads; spans land in the shared collector regardless of thread.
+    // threads; spans land in the one sink regardless of thread.
     use rayon::prelude::*;
     let jobs: Vec<(&RegionPlan, usize)> = regions
         .iter()
@@ -351,10 +352,10 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
                 }
             }
         }
-        obs::record_duration_with(
+        obs::record_duration(
             "verify",
             download_time(readback_bytes),
-            vec![("bytes", readback_bytes.to_string())],
+            &[("bytes", readback_bytes as u64)],
         );
         if mismatch {
             verify_failures += 1;
@@ -391,7 +392,7 @@ pub fn render_table(report: &Report) -> String {
         report.verify_failures,
         runs,
     ));
-    out.push_str(&obs::span_table(&report.stages));
+    out.push_str(&obs::stage_table(&report.stages));
     out.push('\n');
     out.push_str(&obs::table(&report.snapshot));
     out
@@ -405,8 +406,9 @@ pub fn render_json(report: &Report) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"stage\":\"{}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}",
-                s.name,
+                "{{\"stage\":\"{}\",\"clock\":\"{}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}",
+                s.stage,
+                s.clock.name(),
                 s.count,
                 s.total_ns,
                 s.mean_ns(),
@@ -432,9 +434,9 @@ pub fn render_prometheus(report: &Report) -> String {
     obs::prometheus(&report.snapshot)
 }
 
-/// JSONL export of the raw span events.
+/// JSONL export of the final run's spans, readable by `jpg-cli trace`.
 pub fn render_jsonl(report: &Report) -> String {
-    obs::jsonl_spans(&report.spans)
+    report.trace.jsonl()
 }
 
 #[cfg(test)]
@@ -453,33 +455,46 @@ mod tests {
         assert!(report.mean_partial_bytes < report.full_bytes / 2);
         assert_eq!(missing_metrics(&report), Vec::<&str>::new());
         // All six pipeline stages appear, in canonical order.
-        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
         let canonical: Vec<&str> = names
             .iter()
             .copied()
             .filter(|n| STAGE_ORDER.contains(n))
             .collect();
         assert_eq!(canonical, STAGE_ORDER);
+        // Port stages are modelled time; the CAD stages are wall clock.
+        for s in report
+            .stages
+            .iter()
+            .filter(|s| STAGE_ORDER.contains(&s.stage.as_str()))
+        {
+            let want = match s.stage.as_str() {
+                "download" | "verify" => obs::Clock::Modelled,
+                _ => obs::Clock::Wall,
+            };
+            assert_eq!(s.clock, want, "stage {}", s.stage);
+        }
         let table = render_table(&report);
         for stage in STAGE_ORDER {
             assert!(table.contains(stage), "stage {stage} missing from table");
         }
         let json = render_json(&report);
         assert!(json.contains("\"workload\":\"smoke\""));
-        assert!(json.contains("\"stage\":\"download\""));
+        assert!(json.contains("\"stage\":\"download\",\"clock\":\"modelled\""));
         let prom = render_prometheus(&report);
         assert!(prom.contains("# TYPE bitgen_bytes_total counter"));
-        assert!(!render_jsonl(&report).is_empty());
+        let dump = obs::trace::parse_jsonl(&render_jsonl(&report)).expect("own dump parses");
+        assert_eq!(dump.len(), report.trace.spans.len());
 
-        // Repeats ride in the same test: `run` swaps the global span
-        // collector, so engine runs must not overlap across test threads.
+        // Repeats ride in the same test: `run` installs the process-wide
+        // span sink, so engine runs must not overlap across test threads.
         let rep = run_repeated(Workload::Smoke, 3).expect("repeated smoke runs");
         assert_eq!(rep.repeats, 3);
         assert_eq!(rep.verify_failures, 0);
         let canonical: Vec<&str> = rep
             .stages
             .iter()
-            .map(|s| s.name)
+            .map(|s| s.stage.as_str())
             .filter(|n| STAGE_ORDER.contains(n))
             .collect();
         assert_eq!(canonical, STAGE_ORDER);

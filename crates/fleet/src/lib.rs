@@ -27,7 +27,7 @@ pub mod sched;
 pub mod service;
 pub mod sim;
 pub mod store;
-pub mod trace;
+pub mod workload;
 
 pub use clock::Vt;
 pub use library::{RegionCatalog, ServingLibrary, VariantSlot};
@@ -39,7 +39,7 @@ pub use sched::{
 pub use service::{Fleet, FleetConfig, FleetReport, Request, Response, WireFormat};
 pub use sim::{simulate, simulate_trace, FleetSimSpec, SimReport};
 pub use store::{PartialKey, PartialStore, StoredPartial};
-pub use trace::TraceSpec;
+pub use workload::TraceSpec;
 
 /// Errors the service surfaces to callers.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,7 +25,7 @@ use crate::sched::{
     Resolved, SchedConfig, ServeMode, SimRequest, VerifyFlavor, VerifyPolicy,
 };
 use crate::service::WireFormat;
-use crate::trace::TraceSpec;
+use crate::workload::TraceSpec;
 use obs::trace::{SloPolicy, SloReport, SloSample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -12,20 +12,20 @@
 //! * [`registry`] — named, labeled instruments in a [`Registry`]
 //!   (process-global via [`global`], or per-component) with
 //!   deterministic [`Snapshot`]s;
-//! * [`span`] — `obs::span!("stage")` RAII stage timers recording into
-//!   bounded per-thread ring buffers with a pluggable [`Collector`];
-//!   simulated durations (SelectMAP port time) enter via
-//!   [`record_duration`];
-//! * [`export`] — Prometheus text, JSON snapshot, JSONL span events,
-//!   and table renderers, all golden-test stable;
-//! * [`trace`] — deterministic causal request tracing over virtual
-//!   time ([`ShardTracer`] rings merged into a [`Trace`], Chrome
-//!   `trace_event`/JSONL exporters, critical-path analysis) and the
-//!   [`SloPolicy`]/[`SloReport`] error-budget engine.
+//! * [`trace`] — the one span record, [`TraceSpan`], stamped with its
+//!   [`Clock`] (wall, modelled or virtual): [`ShardTracer`] rings merged
+//!   into a [`Trace`], Chrome `trace_event`/JSONL exporters, the JSONL
+//!   reader, per-stage and critical-path analysis, and the
+//!   [`SloPolicy`]/[`SloReport`] error-budget engine;
+//! * [`span`] — `obs::span!("stage")` wall-clock guards and
+//!   [`record_duration`] for modelled SelectMAP port time, recording
+//!   into one process-wide sink ([`install_sink`]/[`take_sink`]);
+//! * [`export`] — Prometheus text, JSON snapshot and table renderers,
+//!   all golden-test stable.
 //!
-//! Span recording can be disabled at runtime ([`set_enabled`]) or
-//! compiled out entirely with the `obs-off` cargo feature; metric
-//! instruments stay live either way.
+//! Spans record only while a sink is installed (fleet tracers: while
+//! their config asks for it), and the `obs-off` cargo feature compiles
+//! all span recording out; metric instruments stay live either way.
 
 pub mod export;
 pub mod metrics;
@@ -33,16 +33,11 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use export::{
-    aggregate_spans, jsonl_spans, prometheus, snapshot_json, span_table, table, SpanStat,
-};
+pub use export::{prometheus, snapshot_json, stage_table, table};
 pub use metrics::{presets, Counter, Gauge, Histogram};
 pub use registry::{global, Registry, Sample, Snapshot, Value};
-pub use span::{
-    enabled, record_duration, record_duration_with, set_collector, set_enabled, take_thread_spans,
-    Collector, Span, SpanEvent, VecCollector, RING_CAPACITY,
-};
+pub use span::{install_sink, record_duration, take_sink, Span};
 pub use trace::{
-    FieldValue, ShardTracer, SloPolicy, SloReport, SloSample, Trace, TraceParseError, TraceSpan,
-    TRACE_RING_CAPACITY,
+    stage_breakdown, Clock, FieldValue, ShardTracer, SloPolicy, SloReport, SloSample, StageStat,
+    Trace, TraceParseError, TraceSpan, TRACE_RING_CAPACITY,
 };

@@ -1,121 +1,49 @@
-//! Lightweight span tracing: scoped stage timers recorded into a
-//! bounded per-thread ring buffer, with an optional process-wide
-//! [`Collector`].
+//! CAD-side span recording into one process-wide sink.
 //!
-//! No external tracing crate: a [`Span`] is an RAII guard that notes the
-//! wall-clock on entry and records a [`SpanEvent`] on drop. Nesting
-//! depth is tracked per thread, so a collector can reconstruct the
-//! stage tree (`generate` containing `bitgen_partial`, and so on). For
-//! stages whose duration is *simulated* rather than measured — SelectMAP
-//! port time in `simboard`/`fleet` — [`record_duration`] emits an event
-//! with the model's duration directly.
+//! A [`Span`] guard (`obs::span!("stage")`) times its scope on the wall
+//! clock; [`record_duration`] enters a stage whose duration is
+//! *modelled* rather than measured — SelectMAP port time in
+//! `simboard`/`fleet`. Both build a [`TraceSpan`] with `trace = parent =
+//! 0` and `shard` set to the recording thread's lane (a small id in
+//! first-record order), so CAD dumps and fleet dumps share one record,
+//! one exporter ([`Trace::jsonl`]) and one reader.
 //!
-//! Two kill switches:
-//! * [`set_enabled`]`(false)` stops recording at runtime (one relaxed
-//!   atomic load per span);
-//! * the `obs-off` cargo feature compiles every span to a no-op, for
-//!   builds that must prove instrumentation costs nothing.
+//! Spans record only while a sink is installed ([`install_sink`]). The
+//! sink is one bounded [`ShardTracer`] ring — a drop count and a
+//! sequence — and [`take_sink`] drains it into a [`Trace`]. With no sink
+//! a span costs one atomic load: no clock read, no allocation. The
+//! `obs-off` cargo feature turns that load into a constant `false`, so
+//! every span compiles to a no-op.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use crate::trace::{Clock, FieldSet, FieldValue, ShardTracer, Trace, TraceSpan};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Events kept per thread before the oldest is dropped.
-pub const RING_CAPACITY: usize = 4096;
+/// Spans the sink keeps; past this the oldest are dropped and counted.
+const SINK_CAPACITY: usize = 1 << 17;
 
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Stage name (static: span names are a closed vocabulary).
-    pub name: &'static str,
-    /// Start time in nanoseconds since the process's trace epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (wall-clock, or simulated for
-    /// [`record_duration`] events).
-    pub dur_ns: u64,
-    /// Nesting depth at entry (0 = top level on its thread).
-    pub depth: u32,
-    /// Small per-thread id (assignment order, not OS thread id).
-    pub thread: u64,
-    /// Optional key/value annotations.
-    pub fields: Vec<(&'static str, String)>,
+// The flag publishes no data (the mutex guards the ring), so relaxed
+// loads and stores suffice: a span racing an install or a drain is
+// either recorded or not, never torn.
+static RECORDING: AtomicBool = AtomicBool::new(false);
+static SINK: Mutex<Option<ShardTracer>> = Mutex::new(None);
+
+thread_local! {
+    static LANE: u32 = {
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    };
 }
 
-/// A sink receiving every completed span from every thread.
-pub trait Collector: Send + Sync {
-    /// Called on span completion, on the completing thread.
-    fn record(&self, event: &SpanEvent);
+fn recording() -> bool {
+    cfg!(not(feature = "obs-off")) && RECORDING.load(Ordering::Relaxed)
 }
 
-/// A [`Collector`] buffering events in a mutex-guarded, bounded vec —
-/// the workhorse for reports and tests.
-#[derive(Debug)]
-pub struct VecCollector {
-    events: Mutex<Vec<SpanEvent>>,
-    cap: usize,
-}
-
-impl VecCollector {
-    /// A collector keeping at most `cap` events (later events are
-    /// dropped, earliest-wins, so a runaway stage cannot eat the heap).
-    pub fn new(cap: usize) -> VecCollector {
-        VecCollector {
-            events: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// Take everything collected so far.
-    pub fn take(&self) -> Vec<SpanEvent> {
-        std::mem::take(&mut *self.events.lock().expect("collector lock"))
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("collector lock").len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Collector for VecCollector {
-    fn record(&self, event: &SpanEvent) {
-        let mut ev = self.events.lock().expect("collector lock");
-        if ev.len() < self.cap {
-            ev.push(event.clone());
-        }
-    }
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static HAS_COLLECTOR: AtomicBool = AtomicBool::new(false);
-
-fn collector_slot() -> &'static RwLock<Option<Arc<dyn Collector>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn Collector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Install (or clear) the process-wide span collector. Spans always
-/// land in their thread's ring buffer; a collector additionally sees
-/// every event, cross-thread.
-pub fn set_collector(c: Option<Arc<dyn Collector>>) {
-    let mut slot = collector_slot().write().expect("collector lock");
-    HAS_COLLECTOR.store(c.is_some(), Ordering::Release);
-    *slot = c;
-}
-
-/// Runtime kill switch for span recording (metric instruments are
-/// unaffected). Returns the previous state.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::Relaxed)
-}
-
-/// Whether spans currently record.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && cfg!(not(feature = "obs-off"))
+// `Span::drop` records through here and must not panic; every ring
+// update leaves the ring valid, so a poisoned guard is safe to reuse.
+fn sink() -> MutexGuard<'static, Option<ShardTracer>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn epoch() -> Instant {
@@ -123,196 +51,94 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+/// Install the process-wide sink: a ring keeping the newest 2^17
+/// spans. Replaces (and discards) any sink already installed.
+pub fn install_sink() {
+    epoch();
+    *sink() = Some(ShardTracer::new(0, SINK_CAPACITY, true));
+    RECORDING.store(true, Ordering::Relaxed);
 }
 
-struct ThreadSpans {
-    id: u64,
-    depth: u32,
-    ring: std::collections::VecDeque<SpanEvent>,
+/// Uninstall the sink and drain it into a [`Trace`] ordered by start
+/// time; `None` when no sink was installed.
+pub fn take_sink() -> Option<Trace> {
+    let mut slot = sink();
+    RECORDING.store(false, Ordering::Relaxed);
+    slot.take().map(|t| Trace::merge([t.into_spans()]))
 }
 
-thread_local! {
-    static TLS: std::cell::RefCell<ThreadSpans> = std::cell::RefCell::new({
-        static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-        ThreadSpans {
-            id: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            depth: 0,
-            ring: std::collections::VecDeque::with_capacity(64),
-        }
-    });
-}
-
-fn push_event(event: SpanEvent) {
-    if HAS_COLLECTOR.load(Ordering::Acquire) {
-        if let Some(c) = collector_slot().read().expect("collector lock").as_ref() {
-            c.record(&event);
-        }
+fn field_set(fields: &[(&'static str, u64)]) -> FieldSet {
+    let mut set = FieldSet::EMPTY;
+    for &(k, v) in fields {
+        set.push(k, FieldValue::U64(v));
     }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.ring.len() >= RING_CAPACITY {
-            t.ring.pop_front();
-        }
-        t.ring.push_back(event);
-    });
+    set
 }
 
-/// Drain the current thread's span ring buffer (oldest first).
-pub fn take_thread_spans() -> Vec<SpanEvent> {
-    TLS.with(|t| t.borrow_mut().ring.drain(..).collect())
-}
-
-/// Record a completed stage with an explicitly supplied duration — the
-/// hook for simulated timings (SelectMAP byte-cycle downloads) that no
-/// wall clock can measure.
-pub fn record_duration(name: &'static str, dur: Duration) {
-    record_duration_with(name, dur, Vec::new());
-}
-
-/// [`record_duration`] with field annotations.
-pub fn record_duration_with(
-    name: &'static str,
-    dur: Duration,
-    fields: Vec<(&'static str, String)>,
-) {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (name, dur, fields);
-    }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if !enabled() {
-            return;
-        }
-        let (thread, depth) = TLS.with(|t| {
-            let t = t.borrow();
-            (t.id, t.depth)
-        });
-        push_event(SpanEvent {
-            name,
-            start_ns: now_ns(),
-            dur_ns: dur.as_nanos() as u64,
-            depth,
-            thread,
-            fields,
-        });
+fn push(stage: &'static str, clock: Clock, start: Instant, dur: Duration, fields: FieldSet) {
+    let mut span = TraceSpan::new(
+        0,
+        0,
+        stage,
+        start.saturating_duration_since(epoch()).as_nanos() as u64,
+        dur.as_nanos() as u64,
+    );
+    span.clock = clock;
+    span.shard = LANE.with(|l| *l);
+    span.fields = fields;
+    if let Some(tracer) = sink().as_mut() {
+        tracer.push(span);
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-struct ActiveSpan {
-    name: &'static str,
-    start: Instant,
-    start_ns: u64,
-    fields: Vec<(&'static str, String)>,
+/// Record a stage whose duration is modelled, not measured (SelectMAP
+/// byte-cycle downloads and readbacks): a [`Clock::Modelled`] span
+/// starting now.
+pub fn record_duration(stage: &'static str, dur: Duration, fields: &[(&'static str, u64)]) {
+    if recording() {
+        push(
+            stage,
+            Clock::Modelled,
+            Instant::now(),
+            dur,
+            field_set(fields),
+        );
+    }
 }
 
 /// An RAII stage timer: created by [`crate::span!`], records a
-/// [`SpanEvent`] when dropped.
+/// [`Clock::Wall`] span when dropped.
 #[must_use = "a span measures the scope it is bound to; bind it to a named guard"]
 pub struct Span {
-    #[cfg(not(feature = "obs-off"))]
-    inner: Option<ActiveSpan>,
-    #[cfg(feature = "obs-off")]
-    _noop: (),
+    active: Option<(&'static str, Instant, FieldSet)>,
 }
 
 impl Span {
-    /// A span that records nothing — what [`crate::span!`] hands out
-    /// when recording is off, without ever materializing its fields.
-    pub fn disabled() -> Span {
-        #[cfg(feature = "obs-off")]
-        {
-            Span { _noop: () }
-        }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Span { inner: None }
-        }
-    }
-
-    /// Enter a stage.
-    pub fn enter(name: &'static str) -> Span {
-        Span::enter_with(name, Vec::new())
-    }
-
-    /// Enter a stage with field annotations.
-    pub fn enter_with(name: &'static str, fields: Vec<(&'static str, String)>) -> Span {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (name, fields);
-            Span { _noop: () }
-        }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if !enabled() {
-                return Span { inner: None };
-            }
-            TLS.with(|t| t.borrow_mut().depth += 1);
-            Span {
-                inner: Some(ActiveSpan {
-                    name,
-                    start: Instant::now(),
-                    start_ns: now_ns(),
-                    fields,
-                }),
-            }
-        }
-    }
-
-    /// Attach a field to a live span (no-op when recording is off).
-    pub fn add_field(&mut self, key: &'static str, value: impl std::fmt::Display) {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (key, value);
-        }
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(s) = &mut self.inner {
-            s.fields.push((key, value.to_string()));
+    /// Enter a stage with integer fields. Records nothing, and reads no
+    /// clock, when no sink is installed.
+    pub fn enter(stage: &'static str, fields: &[(&'static str, u64)]) -> Span {
+        Span {
+            active: recording().then(|| (stage, Instant::now(), field_set(fields))),
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(s) = self.inner.take() {
-            let dur_ns = s.start.elapsed().as_nanos() as u64;
-            let (thread, depth) = TLS.with(|t| {
-                let mut t = t.borrow_mut();
-                t.depth = t.depth.saturating_sub(1);
-                (t.id, t.depth)
-            });
-            push_event(SpanEvent {
-                name: s.name,
-                start_ns: s.start_ns,
-                dur_ns,
-                depth,
-                thread,
-                fields: s.fields,
-            });
+        if let Some((stage, start, fields)) = self.active.take() {
+            push(stage, Clock::Wall, start, start.elapsed(), fields);
         }
     }
 }
 
 /// Enter a named stage span: `let _g = obs::span!("generate");` or
-/// `let _g = obs::span!("generate", "frames" => n);`. The guard records
-/// on drop; bind it to a named variable (`_g`), never `_`.
+/// `let _g = obs::span!("generate", "frames" => n);` with integer
+/// field values. The guard records on drop; bind it to a named variable
+/// (`_g`), never `_`.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::enter($name)
-    };
-    ($name:expr, $($k:expr => $v:expr),+ $(,)?) => {
-        // Fields are only materialized (vec + Display strings) when
-        // recording is on, so disabled spans cost no allocation.
-        if $crate::enabled() {
-            $crate::Span::enter_with($name, vec![$(($k, $v.to_string())),+])
-        } else {
-            $crate::Span::disabled()
-        }
+    ($name:expr $(, $k:expr => $v:expr)* $(,)?) => {
+        $crate::Span::enter($name, &[$(($k, $v as u64)),*])
     };
 }
 
@@ -320,92 +146,23 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    // Span tests share per-thread state; each uses its own thread to
-    // stay independent of test-runner threading.
-    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-        std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
-    }
-
+    // The sink is process-wide: one test drives it start to finish so
+    // no two tests install and drain it concurrently.
     #[test]
-    #[cfg(feature = "obs-off")]
-    fn obs_off_records_nothing() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            assert!(!enabled());
-            {
-                let _g = crate::span!("quiet");
-                record_duration("quiet", Duration::from_micros(1));
-            }
-            assert!(take_thread_spans().is_empty());
-        });
-    }
+    fn sink_gates_recording_and_drains_one_trace() {
+        // No sink: nothing records.
+        {
+            let _g = crate::span!("quiet");
+            record_duration("quiet", Duration::from_micros(1), &[]);
+        }
+        assert_eq!(take_sink(), None);
 
-    #[test]
-    #[cfg(not(feature = "obs-off"))]
-    fn spans_record_nesting_and_order() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            {
-                let _outer = crate::span!("outer");
-                let _inner = crate::span!("inner", "k" => 7);
-            }
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), 2);
-            // Inner drops first.
-            assert_eq!(ev[0].name, "inner");
-            assert_eq!(ev[0].depth, 1);
-            assert_eq!(ev[0].fields, vec![("k", "7".to_string())]);
-            assert_eq!(ev[1].name, "outer");
-            assert_eq!(ev[1].depth, 0);
-            assert!(ev[1].start_ns <= ev[0].start_ns);
-        });
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs-off"))]
-    fn record_duration_uses_given_time() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            record_duration("download", Duration::from_micros(123));
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), 1);
-            assert_eq!(ev[0].dur_ns, 123_000);
-        });
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs-off"))]
-    fn disabled_spans_record_nothing() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            let was = set_enabled(false);
-            {
-                let _g = crate::span!("quiet");
-                record_duration("quiet", Duration::from_micros(1));
-            }
-            set_enabled(was);
-            assert!(take_thread_spans().is_empty());
-        });
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs-off"))]
-    fn ring_is_bounded() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            for _ in 0..RING_CAPACITY + 10 {
-                let _g = crate::span!("tick");
-            }
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), RING_CAPACITY);
-        });
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs-off"))]
-    fn collector_sees_cross_thread_events() {
-        let c = Arc::new(VecCollector::new(1024));
-        set_collector(Some(c.clone()));
+        install_sink();
+        {
+            let _outer = crate::span!("outer");
+            let _inner = crate::span!("inner", "k" => 7usize);
+            record_duration("download", Duration::from_micros(123), &[("bytes", 9)]);
+        }
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -413,34 +170,33 @@ mod tests {
                 });
             }
         });
-        set_collector(None);
-        let ev: Vec<SpanEvent> = c
-            .take()
-            .into_iter()
-            .filter(|e| e.name == "worker")
-            .collect();
-        assert_eq!(ev.len(), 4);
-        // Thread ids are distinct per thread.
-        let mut threads: Vec<u64> = ev.iter().map(|e| e.thread).collect();
-        threads.sort_unstable();
-        threads.dedup();
-        assert_eq!(threads.len(), 4);
-    }
-
-    #[test]
-    fn vec_collector_is_bounded() {
-        let c = VecCollector::new(2);
-        for _ in 0..5 {
-            c.record(&SpanEvent {
-                name: "x",
-                start_ns: 0,
-                dur_ns: 1,
-                depth: 0,
-                thread: 0,
-                fields: Vec::new(),
-            });
+        let trace = take_sink().expect("sink was installed");
+        assert_eq!(take_sink(), None, "draining uninstalls the sink");
+        if cfg!(feature = "obs-off") {
+            assert!(trace.spans.is_empty());
+            return;
         }
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        let stage = |name: &str| trace.spans.iter().find(|s| s.stage == name).unwrap();
+        let (outer, inner, dl) = (stage("outer"), stage("inner"), stage("download"));
+        assert_eq!((outer.clock, inner.clock), (Clock::Wall, Clock::Wall));
+        assert!(outer.start_ns <= inner.start_ns && inner.dur_ns <= outer.dur_ns);
+        assert_eq!(inner.fields.iter().next(), Some(&("k", FieldValue::U64(7))));
+        assert_eq!((dl.clock, dl.dur_ns), (Clock::Modelled, 123_000));
+        assert_eq!(
+            dl.fields.iter().next(),
+            Some(&("bytes", FieldValue::U64(9)))
+        );
+        assert_eq!((outer.trace, outer.parent, outer.board), (0, 0, -1));
+        // One lane per recording thread.
+        let mut lanes: Vec<u32> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == "worker")
+            .map(|s| s.shard)
+            .collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert_eq!(lanes.len(), 4);
+        assert!(!lanes.contains(&outer.shard));
     }
 }

@@ -1,5 +1,12 @@
-//! Deterministic causal request tracing over virtual time, plus the
-//! SLO engine.
+//! The one span record for all three clocks, its rings, exporters and
+//! offline analysis, plus the SLO engine.
+//!
+//! A [`TraceSpan`] carries the [`Clock`] its timestamps come from: host
+//! wall time for the CAD stages (`obs::span!`), modelled SelectMAP port
+//! time for downloads and readbacks (`obs::record_duration`), and the
+//! fleet scheduler's virtual time. One dump can hold all three, and the
+//! per-stage aggregation ([`stage_breakdown`]) keys on `(stage, clock)`
+//! so durations from different clocks are never summed.
 //!
 //! The fleet scheduler (`fleet::sched`) is a discrete-event simulator:
 //! every interesting moment already has an exact virtual timestamp and
@@ -117,7 +124,38 @@ impl std::fmt::Display for FieldValue {
     }
 }
 
-/// One causally-linked span in virtual time.
+/// The clock a span's timestamps are read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Clock {
+    /// Host wall clock: measured CAD-side work.
+    Wall,
+    /// Modelled device time (SelectMAP byte cycles): the duration comes
+    /// from the port model, the start from the wall clock.
+    Modelled,
+    /// The fleet scheduler's virtual clock.
+    Virtual,
+}
+
+impl Clock {
+    /// The name dumps and tables use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Clock::Wall => "wall",
+            Clock::Modelled => "modelled",
+            Clock::Virtual => "virtual",
+        }
+    }
+
+    /// Inverse of [`Clock::name`].
+    pub fn parse(s: &str) -> Option<Clock> {
+        [Clock::Wall, Clock::Modelled, Clock::Virtual]
+            .into_iter()
+            .find(|c| c.name() == s)
+    }
+}
+
+/// One span: a stage's start and duration on one [`Clock`], linked to
+/// its request by `trace`/`parent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Trace (request) identifier; spans sharing it belong to one
@@ -128,11 +166,14 @@ pub struct TraceSpan {
     pub parent: u64,
     /// Stage name (`"queue"`, `"download"`, `"verify"`, …).
     pub stage: &'static str,
-    /// Virtual start time in nanoseconds.
+    /// The clock `start_ns` and `dur_ns` are read from.
+    pub clock: Clock,
+    /// Start time in nanoseconds.
     pub start_ns: u64,
-    /// Duration in virtual nanoseconds (0 for instant events).
+    /// Duration in nanoseconds (0 for instant events).
     pub dur_ns: u64,
-    /// Recording shard (filled in by [`ShardTracer::record`]).
+    /// Recording shard (filled in by [`ShardTracer::record`]); the
+    /// recording thread's lane for wall and modelled spans.
     pub shard: u32,
     /// Per-shard record sequence (filled in by [`ShardTracer::record`]);
     /// breaks ties among spans starting at the same instant.
@@ -144,12 +185,14 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    /// A span with no board and no fields; callers fill the rest.
+    /// A virtual-clock span with no board and no fields; callers fill
+    /// the rest.
     pub fn new(trace: u64, parent: u64, stage: &'static str, start_ns: u64, dur_ns: u64) -> Self {
         TraceSpan {
             trace,
             parent,
             stage,
+            clock: Clock::Virtual,
             start_ns,
             dur_ns,
             shard: 0,
@@ -213,10 +256,15 @@ impl ShardTracer {
     /// number. The oldest span is evicted (and counted dropped) when
     /// the ring is full. No-op when disabled.
     pub fn record(&mut self, mut span: TraceSpan) {
+        span.shard = self.shard;
+        self.push(span);
+    }
+
+    /// [`ShardTracer::record`] keeping the span's own `shard`.
+    pub(crate) fn push(&mut self, mut span: TraceSpan) {
         if !self.on {
             return;
         }
-        span.shard = self.shard;
         span.seq = self.seq;
         self.seq += 1;
         if self.ring.len() == self.cap {
@@ -350,10 +398,11 @@ impl Trace {
         for s in &self.spans {
             let _ = write!(
                 out,
-                "{{\"trace\":{},\"parent\":{},\"stage\":{},\"start_ns\":{},\"dur_ns\":{},\"shard\":{},\"seq\":{},\"board\":{},\"fields\":{{",
+                "{{\"trace\":{},\"parent\":{},\"stage\":{},\"clock\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"shard\":{},\"seq\":{},\"board\":{},\"fields\":{{",
                 s.trace,
                 s.parent,
                 json_string(s.stage),
+                s.clock.name(),
                 s.start_ns,
                 s.dur_ns,
                 s.shard,
@@ -419,9 +468,11 @@ pub struct ParsedSpan {
     pub parent: u64,
     /// Stage name.
     pub stage: String,
-    /// Virtual start, nanoseconds.
+    /// The clock the timestamps are read from.
+    pub clock: Clock,
+    /// Start, nanoseconds.
     pub start_ns: u64,
-    /// Virtual duration, nanoseconds.
+    /// Duration, nanoseconds.
     pub dur_ns: u64,
     /// Board id, -1 when none.
     pub board: i64,
@@ -541,6 +592,7 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
         trace: num_after(line, "trace")? as u64,
         parent: num_after(line, "parent")? as u64,
         stage: str_after(line, "stage")?.to_string(),
+        clock: Clock::parse(str_after(line, "clock")?).ok_or("bad clock")?,
         start_ns: num_after(line, "start_ns")? as u64,
         dur_ns: num_after(line, "dur_ns")? as u64,
         board: num_after(line, "board")?,
@@ -548,11 +600,13 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
     })
 }
 
-/// Per-stage latency statistics over a parsed trace.
+/// Per-stage statistics over one clock's spans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageStat {
     /// Stage name.
     pub stage: String,
+    /// The clock the durations are read from.
+    pub clock: Clock,
     /// Number of spans.
     pub count: u64,
     /// Exact p50 over span durations (ns).
@@ -574,19 +628,31 @@ pub fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Per-stage p50/p99 breakdown, sorted by total duration descending
-/// (ties by stage name) so the dominant stage leads.
-pub fn stage_breakdown(spans: &[ParsedSpan]) -> Vec<StageStat> {
-    let mut by_stage: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    for s in spans {
-        by_stage.entry(&s.stage).or_default().push(s.dur_ns);
+impl StageStat {
+    /// Mean duration, zero when empty.
+    pub fn mean_ns(&self) -> u64 {
+        self.total_ns.checked_div(self.count).unwrap_or(0)
+    }
+}
+
+/// The one per-stage aggregation: p50/p99/total/max over
+/// `(stage, clock, dur_ns)` triples, keyed on `(stage, clock)` so no
+/// total mixes two clocks. Sorted by total duration descending (ties by
+/// stage, then clock) so the dominant stage leads.
+pub fn stage_breakdown<'a>(
+    spans: impl IntoIterator<Item = (&'a str, Clock, u64)>,
+) -> Vec<StageStat> {
+    let mut by_stage: BTreeMap<(&str, Clock), Vec<u64>> = BTreeMap::new();
+    for (stage, clock, dur_ns) in spans {
+        by_stage.entry((stage, clock)).or_default().push(dur_ns);
     }
     let mut stats: Vec<StageStat> = by_stage
         .into_iter()
-        .map(|(stage, mut durs)| {
+        .map(|((stage, clock), mut durs)| {
             durs.sort_unstable();
             StageStat {
                 stage: stage.to_string(),
+                clock,
                 count: durs.len() as u64,
                 p50_ns: exact_quantile(&durs, 0.50),
                 p99_ns: exact_quantile(&durs, 0.99),
@@ -595,7 +661,9 @@ pub fn stage_breakdown(spans: &[ParsedSpan]) -> Vec<StageStat> {
             }
         })
         .collect();
-    stats.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.stage.cmp(&b.stage)));
+    // The map iterates in (stage, clock) order, so a stable sort on the
+    // total alone breaks ties by stage, then clock.
+    stats.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
     stats
 }
 
@@ -710,6 +778,9 @@ impl SloPolicy {
             let objective_us: u64 = bits[1]
                 .parse()
                 .map_err(|_| format!("bad SLO {part:?}: objective must be integer µs"))?;
+            let objective_ns = objective_us
+                .checked_mul(1000)
+                .ok_or_else(|| format!("bad SLO {part:?}: objective overflows u64 ns"))?;
             let target_ppm = parse_pct_ppm(bits[2])
                 .ok_or_else(|| format!("bad SLO {part:?}: target must be a percentage"))?;
             if target_ppm >= 1_000_000 {
@@ -717,7 +788,7 @@ impl SloPolicy {
             }
             objectives.push(SloObjective {
                 class,
-                objective_ns: objective_us * 1000,
+                objective_ns,
                 target_ppm,
             });
         }
@@ -799,7 +870,8 @@ impl SloPolicy {
 }
 
 /// Parse a percentage with up to four decimals into ppm (integer-exact:
-/// `"99.9"` → 999_000).
+/// `"99.9"` → 999_000). Saturates at `u32::MAX`, so an oversized
+/// percentage fails the caller's below-100% check instead of wrapping.
 fn parse_pct_ppm(s: &str) -> Option<u32> {
     let (whole, frac) = match s.split_once('.') {
         Some((w, f)) => (w, f),
@@ -814,7 +886,7 @@ fn parse_pct_ppm(s: &str) -> Option<u32> {
         let digits: u32 = frac.parse().ok()?;
         frac_ppm = digits * 10u32.pow(4 - frac.len() as u32);
     }
-    Some(whole * 10_000 + frac_ppm)
+    Some(whole.saturating_mul(10_000).saturating_add(frac_ppm))
 }
 
 /// One request's contribution to an SLO evaluation.
@@ -1137,6 +1209,10 @@ mod tests {
         assert_eq!(parsed[0].field("bytes"), Some("4096"));
         assert_eq!(parsed[0].field("flavor"), Some("incremental"));
         assert_eq!(parsed[1].field("bytes"), None);
+        assert_eq!(parsed[1].clock, Clock::Virtual);
+        for c in [Clock::Wall, Clock::Modelled, Clock::Virtual] {
+            assert_eq!(Clock::parse(c.name()), Some(c));
+        }
         for line in t.jsonl().lines() {
             validate_json(line).expect("each jsonl line is well-formed");
         }
@@ -1167,6 +1243,25 @@ mod tests {
         }
         assert_eq!(parse_jsonl_strict(&truncated), Err(err.clone()));
         assert!(err.to_string().starts_with("line 2: "), "{err}");
+
+        // Every line must name its clock: a line without one, or with an
+        // unknown one, is a typed error on that line.
+        let unclocked = lines[0].replace("\"clock\":\"virtual\",", "");
+        assert_eq!(
+            parse_jsonl(&unclocked),
+            Err(TraceParseError::Line {
+                line: 1,
+                reason: "missing clock".into()
+            })
+        );
+        let bad = lines[0].replace("virtual", "sundial");
+        assert_eq!(
+            parse_jsonl(&bad),
+            Err(TraceParseError::Line {
+                line: 1,
+                reason: "bad clock".into()
+            })
+        );
     }
 
     #[test]
@@ -1185,12 +1280,27 @@ mod tests {
             dropped: 0,
         };
         let parsed = parse_jsonl(&t.jsonl()).unwrap();
-        let stats = stage_breakdown(&parsed);
+        let stats = stage_breakdown(parsed.iter().map(|s| (s.stage.as_str(), s.clock, s.dur_ns)));
         assert_eq!(stats[0].stage, "request");
+        assert!(stats.iter().all(|s| s.clock == Clock::Virtual));
         let dl = stats.iter().find(|s| s.stage == "download").unwrap();
         assert_eq!(dl.count, 2);
         assert_eq!(dl.p50_ns, 8_000);
         assert_eq!(dl.p99_ns, 95_000);
+        assert_eq!(dl.mean_ns(), 51_500);
+
+        // The same stage on two clocks stays two rows, never one sum.
+        let mixed = stage_breakdown([
+            ("download", Clock::Modelled, 10),
+            ("download", Clock::Wall, 3),
+            ("download", Clock::Modelled, 20),
+        ]);
+        assert_eq!(mixed.len(), 2);
+        assert_eq!(
+            (mixed[0].clock, mixed[0].count, mixed[0].total_ns),
+            (Clock::Modelled, 2, 30)
+        );
+        assert_eq!((mixed[1].clock, mixed[1].total_ns), (Clock::Wall, 3));
         let cp = critical_path(&parsed, 0.99).unwrap();
         assert_eq!(cp.threshold_ns, 100_000);
         assert_eq!(cp.slow_requests, 1);
@@ -1212,6 +1322,15 @@ mod tests {
         assert_eq!(p.objectives[0].target_ppm, 999_000);
         assert_eq!(p.objectives[1].target_ppm, 990_000);
         assert!(SloPolicy::parse("high:2000:100").is_err());
+        // Values that used to wrap silently: 429497 % is 4_294_970_000
+        // ppm (past u32), and the objective is past u64 ns.
+        let err = SloPolicy::parse("high:2000:429497").unwrap_err();
+        assert!(
+            err.contains("high:2000:429497") && err.contains("below 100%"),
+            "{err}"
+        );
+        let err = SloPolicy::parse("high:18446744073709552:99").unwrap_err();
+        assert!(err.contains("objective overflows"), "{err}");
         assert!(SloPolicy::parse("high:2000").is_err());
         assert!(SloPolicy::parse("").is_err());
 
@@ -1262,6 +1381,12 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter_total("fleet_slo_requests_total"), Some(1));
         assert_eq!(snap.counter_total("fleet_slo_violations_total"), Some(0));
+    }
+
+    #[test]
+    fn json_string_escapes() {
+        assert_eq!(json_string("a\"b\\c\n\t"), "\"a\\\"b\\\\c\\n\\t\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

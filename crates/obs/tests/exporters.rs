@@ -2,7 +2,7 @@
 //! for the registry. The exporters promise deterministic output for a
 //! given snapshot — these tests pin the exact bytes.
 
-use obs::{Registry, SpanEvent};
+use obs::{Clock, FieldValue, Registry, Trace, TraceSpan};
 use std::time::Duration;
 
 fn golden_registry() -> Registry {
@@ -62,30 +62,40 @@ fn snapshot_json_golden() {
 }
 
 #[test]
-fn jsonl_spans_golden() {
-    let events = vec![
-        SpanEvent {
-            name: "parse",
-            start_ns: 1_000,
-            dur_ns: 42_000,
-            depth: 0,
-            thread: 0,
-            fields: vec![("records", "7".to_string())],
-        },
-        SpanEvent {
-            name: "line\"break\"",
-            start_ns: 50_000,
-            dur_ns: 10,
-            depth: 1,
-            thread: 3,
-            fields: vec![("note", "a\nb".to_string())],
-        },
-    ];
+fn trace_jsonl_golden() {
+    // One span per clock: a CAD stage on the wall clock, a modelled
+    // port download, and a scheduler span whose stage and string field
+    // need escaping.
+    let wall = TraceSpan {
+        clock: Clock::Wall,
+        shard: 1,
+        ..TraceSpan::new(0, 0, "parse", 1_000, 42_000).field("records", FieldValue::U64(7))
+    };
+    let modelled = TraceSpan {
+        clock: Clock::Modelled,
+        seq: 1,
+        ..TraceSpan::new(0, 0, "download", 43_000, 90_000).field("bytes", FieldValue::U64(4096))
+    };
+    let virt = TraceSpan {
+        seq: 2,
+        ..TraceSpan::new(3, 1, "line\"break\"", 50_000, 10)
+            .on_board(2)
+            .field("note", FieldValue::Str("a\nb"))
+            .field("attempt", FieldValue::I64(-1))
+    };
+    let trace = Trace {
+        spans: vec![wall, modelled, virt],
+        dropped: 0,
+    };
     let expected = "\
-{\"span\":\"parse\",\"start_ns\":1000,\"dur_ns\":42000,\"depth\":0,\"thread\":0,\"fields\":{\"records\":\"7\"}}
-{\"span\":\"line\\\"break\\\"\",\"start_ns\":50000,\"dur_ns\":10,\"depth\":1,\"thread\":3,\"fields\":{\"note\":\"a\\nb\"}}
+{\"trace\":0,\"parent\":0,\"stage\":\"parse\",\"clock\":\"wall\",\"start_ns\":1000,\"dur_ns\":42000,\"shard\":1,\"seq\":0,\"board\":-1,\"fields\":{\"records\":7}}
+{\"trace\":0,\"parent\":0,\"stage\":\"download\",\"clock\":\"modelled\",\"start_ns\":43000,\"dur_ns\":90000,\"shard\":0,\"seq\":1,\"board\":-1,\"fields\":{\"bytes\":4096}}
+{\"trace\":3,\"parent\":1,\"stage\":\"line\\\"break\\\"\",\"clock\":\"virtual\",\"start_ns\":50000,\"dur_ns\":10,\"shard\":0,\"seq\":2,\"board\":2,\"fields\":{\"note\":\"a\\nb\",\"attempt\":-1}}
 ";
-    assert_eq!(obs::jsonl_spans(&events), expected);
+    assert_eq!(trace.jsonl(), expected);
+    let parsed = obs::trace::parse_jsonl(expected).expect("the golden dump parses back");
+    let clocks: Vec<Clock> = parsed.iter().map(|s| s.clock).collect();
+    assert_eq!(clocks, [Clock::Wall, Clock::Modelled, Clock::Virtual]);
 }
 
 #[test]

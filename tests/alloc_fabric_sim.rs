@@ -44,8 +44,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warmed_fabric_sim_request_loop_is_allocation_free() {
-    obs::set_enabled(false);
-
     let modules = vec![ModuleSpec {
         prefix: "mod1/".into(),
         netlist: gen::counter("up", 4),
@@ -98,6 +96,4 @@ fn warmed_fabric_sim_request_loop_is_allocation_free() {
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(delta, 0, "warmed simulator allocated {delta} times");
-
-    obs::set_enabled(true);
 }
